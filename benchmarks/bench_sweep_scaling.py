@@ -1,18 +1,21 @@
-"""Extension bench — sharded run store + adaptive sweep scheduler.
+"""Extension bench — directory run store + adaptive sweep scheduler.
 
 Drives a 10,000-run heterogeneous sweep (DoS and delay attacks x
 defended/undefended x five radar-noise levels, 500 seeds per cell)
-through a fresh :class:`repro.store.sharded.ShardedRunStore` at 1 and
-at 4 workers, then compares the adaptive scheduler against the fixed
-grid on a detection-rate panel.
+through a fresh 8-file directory store (``RunStore(path, shards=8)``,
+see ``docs/sharded_store.md``) at 1 and at 4 workers, then compares
+the adaptive scheduler against the fixed grid on a detection-rate
+panel.
 
 Asserted contracts:
 
 * **determinism** — both worker counts produce identical per-cell
   outcome sequences, both stores hold the same 10,000 fingerprints,
   and the raw payload blobs are byte-identical shard-to-shard (the
-  4-worker store was written *by the pool workers*, one shard handle
-  each — see ``_StoreWritingPostprocess``);
+  4-worker store was written *by the pool workers*, one file handle
+  each — see ``_StoreWritingPostprocess`` — which the
+  ``store.worker_writes`` counter confirms whenever a scalar pool
+  actually runs);
 * **scaling** — on a machine with >= 4 usable cores the 4-worker
   sweep completes >= 3x faster (on smaller containers the timings are
   emitted but the floor is not asserted — nothing to parallelize onto);
@@ -39,9 +42,9 @@ from conftest import emit
 from repro import fig2_scenario, telemetry
 from repro.analysis import render_table
 from repro.attacks import AttackWindow, DoSJammingAttack
-from repro.simulation import RunSpec, execute_batch
+from repro.simulation import RunSpec, execute_batch, resolve_backend
 from repro.simulation.sweep import SweepCell, run_sweep
-from repro.store import ShardedRunStore
+from repro.store import RunStore
 
 ATTACKS = ("dos", "delay")
 NOISE_LEVELS = (0.1, 0.5, 1.0, 2.0, 4.0)
@@ -144,9 +147,11 @@ def bench_sweep_scaling(benchmark, tmp_path_factory):
         measured = {}
         stores = {}
         for workers in (1, WORKERS):
-            store = ShardedRunStore(base / f"shards-w{workers}", shards=SHARDS)
-            result, wall = _timed_sweep(cells, store, workers)
+            store = RunStore(base / f"shards-w{workers}", shards=SHARDS)
+            with telemetry.session() as tele:
+                result, wall = _timed_sweep(cells, store, workers)
             measured[workers] = (result, wall)
+            measured[f"counters_w{workers}"] = dict(tele.counters)
             stores[workers] = store
 
         # Warm replay against the pool-written store: every run must
@@ -191,6 +196,12 @@ def bench_sweep_scaling(benchmark, tmp_path_factory):
     assert _payload_index(stores[1], sample) == _payload_index(
         stores[WORKERS], sample
     )
+
+    # The serial sweep wrote from the parent; the pooled one from the
+    # workers (a vectorized backend writes its groups parent-side).
+    assert measured["counters_w1"].get("store.worker_writes", 0) == 0
+    if _pool_available() and resolve_backend(None) == "scalar":
+        assert measured[f"counters_w{WORKERS}"]["store.worker_writes"] == total_runs
 
     # Replay answered everything from the cache.
     assert measured["replay_counters"]["batch.cache_hits"] == total_runs
@@ -279,7 +290,7 @@ def bench_sweep_scaling(benchmark, tmp_path_factory):
                 },
             ],
             title=(
-                f"Sharded sweep: {total_runs} runs over {SHARDS} shards, "
+                f"Directory-store sweep: {total_runs} runs over {SHARDS} files, "
                 "bit-identical across worker counts and replay"
             ),
         ),

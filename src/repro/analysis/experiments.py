@@ -298,7 +298,7 @@ REGISTRY: Tuple[Experiment, ...] = (
         "plus >=20% fewer runs from the adaptive scheduler at the same "
         "confidence interval; writes timings to BENCH_sweep.json",
         bench="bench_sweep_scaling.py",
-        modules=("simulation.sweep", "store.sharded", "simulation.batch"),
+        modules=("simulation.sweep", "store.runstore", "simulation.batch"),
         kind="extension",
     ),
     Experiment(

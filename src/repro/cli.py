@@ -21,22 +21,22 @@ Commands
     Manage the persistent run store (:mod:`repro.store`):
     ``cache stats``, ``cache clear``, ``cache export PATH`` and
     ``cache path``, each accepting ``--store PATH`` to address a
-    non-default store — a single ``.sqlite`` file or a sharded store
+    non-default store — a single ``.sqlite`` file or a store
     directory (auto-detected via its ``shards.json`` manifest).
     ``cache stats --json`` emits the machine-readable form (the same
     serialization the service's ``GET /v1/store/stats`` endpoint
-    returns), including the per-shard breakdown for sharded stores.
+    returns), including the per-file breakdown of a directory store.
     ``cache merge SOURCE --store DEST`` copies every run of one store
-    into another (any combination of single-file and sharded
-    geometries; replays stay bit-identical).
+    into another (any combination of file and directory layouts;
+    replays stay bit-identical).
 ``serve``
     Run the async simulation service (:mod:`repro.service`): an
     HTTP/JSON frontend over the run store with single-flight
     dedup-coalescing of identical requests.  ``--host`` / ``--port``
     pick the binding (``--port 0`` for an ephemeral port; the bound
     base URL is the first stdout line), ``--workers`` bounds the
-    process pool, ``--store`` addresses a non-default store file
-    (``--store-shards N`` serves a sharded store instead),
+    process pool, ``--store`` addresses a non-default store file or
+    directory (``--store-shards N`` creates an N-file directory),
     ``--backend`` picks the default engine for executed runs and
     ``--max-jobs N`` bounds the finished-jobs table (oldest evicted;
     eviction counts surface in ``/healthz``).
@@ -182,22 +182,17 @@ def _add_worker_and_cache_args(parser: argparse.ArgumentParser) -> None:
 def _cache_mode(args: argparse.Namespace):
     """Resolve the shared cache knobs to a ``cache=`` argument.
 
-    ``--store-shards N`` binds a readwrite N-shard store (at
-    ``--store`` if the command has one, else the default sharded
+    ``--store-shards N`` binds a readwrite N-file directory store (at
+    ``--store`` if the command has one, else the default directory
     location); otherwise ``--cache`` maps to ``"readwrite"`` and the
     default is ``"off"``.
     """
     shards = getattr(args, "store_shards", None)
     if shards is not None:
-        from repro.store import (
-            CacheBinding,
-            ShardedRunStore,
-            default_sharded_store_path,
-        )
+        from repro.store import CacheBinding, RunStore
 
-        path = getattr(args, "store", None) or default_sharded_store_path()
         return CacheBinding(
-            store=ShardedRunStore(path, shards=shards),
+            store=RunStore(getattr(args, "store", None), shards=shards),
             mode="readwrite",
             owns_store=True,
         )
@@ -269,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--store",
             metavar="PATH",
             default=None,
-            help="run-store database file (default: $REPRO_CACHE_DIR or "
-            "~/.cache/repro/runstore.sqlite)",
+            help="run-store database file or directory (default: "
+            "$REPRO_CACHE_DIR or ~/.cache/repro/runstore.sqlite)",
         )
         if name == "export":
             sub.add_argument("dest", help="output JSON path")
@@ -286,10 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     merge_parser = cache_sub.add_parser(
         "merge",
         help="copy every run of SOURCE into the --store destination "
-        "(single-file and sharded stores mix freely)",
+        "(file and directory stores mix freely)",
     )
     merge_parser.add_argument(
-        "source", help="source store: a .sqlite file or a shard directory"
+        "source", help="source store: a .sqlite file or a store directory"
     )
     merge_parser.add_argument(
         "--store",
@@ -421,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         metavar="PATH",
         default=None,
-        help="run-store database file, or shard directory with "
-        "--store-shards (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro/runstore.sqlite)",
+        help="run-store database file or directory (default: "
+        "$REPRO_CACHE_DIR or ~/.cache/repro/runstore.sqlite)",
     )
     serve_parser.add_argument(
         "--store-shards",
@@ -431,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         metavar="N",
         default=None,
-        help="serve against an N-shard run store instead of a single "
-        "database file",
+        help="serve against an N-file directory store (default "
+        "location: the runstore-shards directory next to the "
+        "single-file store)",
     )
     serve_parser.add_argument(
         "--backend",
@@ -577,50 +572,27 @@ def _run_report(
     return 0
 
 
-def _open_store(path, shards: Optional[int] = None):
-    """Open a store path as the right geometry.
-
-    A directory (or a path carrying a ``shards.json`` manifest) opens
-    as a :class:`~repro.store.ShardedRunStore`; anything else — or
-    ``None``, the default single-file location — opens as a plain
-    :class:`~repro.store.RunStore`.  ``shards`` forces a sharded store
-    (creating the geometry when the path does not exist yet).
-    """
-    from pathlib import Path
-
-    from repro.store import RunStore, ShardedRunStore
-    from repro.store.sharded import MANIFEST_NAME
-
-    if shards is not None:
-        return ShardedRunStore(path, shards=shards)
-    if path is not None:
-        candidate = Path(path)
-        if candidate.is_dir() or (candidate / MANIFEST_NAME).exists():
-            return ShardedRunStore(candidate)
-    return RunStore(path)
-
-
 def _run_cache(args: argparse.Namespace, out, err) -> int:
     """The ``repro cache`` command group (run-store management)."""
-    if args.cache_command == "merge":
-        from repro.store import merge_stores
+    from repro.exceptions import ConfigurationError
+    from repro.store import RunStore, merge_stores
 
-        source = _open_store(args.source)
-        dest = _open_store(args.store, shards=args.shards)
-        try:
-            written = merge_stores(source, dest)
+    merging = args.cache_command == "merge"
+    try:
+        source = RunStore(args.source) if merging else None
+        store = RunStore(args.store, shards=args.shards if merging else None)
+    except ConfigurationError as exc:
+        print(str(exc), file=err)
+        return 2
+    try:
+        if merging:
+            written = merge_stores(source, store)
             print(
-                f"merged {written} runs from {source.path} into {dest.path} "
-                f"({len(dest)} total)",
+                f"merged {written} runs from {source.path} into {store.path} "
+                f"({len(store)} total)",
                 file=out,
             )
             return 0
-        finally:
-            source.close()
-            dest.close()
-
-    store = _open_store(args.store)
-    try:
         if args.cache_command == "path":
             print(store.path, file=out)
             return 0
@@ -651,6 +623,8 @@ def _run_cache(args: argparse.Namespace, out, err) -> int:
         )  # pragma: no cover
     finally:
         store.close()
+        if source is not None:
+            source.close()
 
 
 def _run_sweep(args: argparse.Namespace, out, err) -> int:

@@ -6,8 +6,9 @@ a deployable system shaped for heavy, redundant request streams —
 stateless frontends over the shared content-addressed
 :class:`~repro.store.RunStore`:
 
-* ``POST /v1/runs`` takes the same declarative ``spec_version=1``
-  scenario dicts the CLI's ``run-custom`` reads, fingerprints them
+* ``POST /v1/runs`` takes the same declarative ``spec_version=2``
+  scenario dicts the CLI's ``run-custom`` reads (v1 dicts are still
+  accepted), fingerprints them
   (:mod:`repro.store.fingerprint`), and serves store hits without
   executing anything;
 * misses enqueue onto a bounded process pool off the event loop, with

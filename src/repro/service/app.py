@@ -4,12 +4,12 @@ entry point.
 Endpoint contract (see ``docs/service_api.md`` for the full schema):
 
 ``POST /v1/runs``
-    Submit a declarative scenario spec (``spec_version=1`` dict, flat
-    or wrapped under ``"scenario"``, plus ``attack_enabled`` /
-    ``defended`` / ``backend`` / ``cache`` knobs).  A store hit
-    answers ``200`` with the result summary immediately; a miss
-    enqueues and answers ``202`` with a job id — identical concurrent
-    requests coalesce onto one execution.  ``?wait=1`` (or
+    Submit a declarative scenario spec (``spec_version=2`` dict; v1
+    bodies are still read), flat or wrapped under ``"scenario"``, plus
+    ``attack_enabled`` / ``defended`` / ``backend`` / ``cache`` knobs.
+    A store hit answers ``200`` with the result summary immediately; a
+    miss enqueues and answers ``202`` with a job id — identical
+    concurrent requests coalesce onto one execution.  ``?wait=1`` (or
     ``"wait": true`` in the body) blocks until the run finishes and
     answers like a hit.
 ``GET /v1/jobs/{id}``
@@ -72,7 +72,7 @@ def _split_request(body: Any) -> Tuple[dict, Dict[str, Any]]:
     if not isinstance(spec, dict) or not spec:
         raise HTTPError(
             400,
-            "no scenario spec in request body (pass the spec_version=1 "
+            "no scenario spec in request body (pass the spec_version=2 "
             "dict flat, or under a 'scenario' key)",
         )
     return spec, knobs
@@ -286,26 +286,15 @@ async def serve_async(
 
     Prints the base URL as the first line on ``out`` (machine-readable
     — scripts parse it to find an ephemeral ``--port 0`` binding) and
-    human diagnostics on ``err``.  With ``store_shards`` the service
-    binds a :class:`~repro.store.sharded.ShardedRunStore` (at
-    ``store_path`` if given, else the default shard directory) instead
-    of a single database file; ``GET /v1/store/stats`` then includes
-    the per-shard breakdown.
+    human diagnostics on ``err``.  The store opens as
+    ``RunStore(store_path, shards=store_shards)``: an existing store
+    directory is autodetected from its manifest, and ``store_shards``
+    creates an N-file directory store; ``GET /v1/store/stats`` then
+    includes the per-file breakdown.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    if store_shards is not None:
-        from repro.store.sharded import (
-            ShardedRunStore,
-            default_sharded_store_path,
-        )
-
-        store = ShardedRunStore(
-            store_path if store_path is not None else default_sharded_store_path(),
-            shards=store_shards,
-        )
-    else:
-        store = RunStore(store_path)
+    store = RunStore(store_path, shards=store_shards)
     app = ServiceApp(
         store,
         workers=workers,

@@ -151,7 +151,13 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
 async def write_json(
     writer: asyncio.StreamWriter, status: int, payload: Any
 ) -> None:
-    """Send one JSON response and flush (the connection then closes)."""
+    """Send one JSON response, flush, and half-close the connection.
+
+    The half-close (FIN) is what tells an EOF-reading client the
+    response is complete.  Closing the socket is not enough: a process
+    pool worker forked while this connection was open holds a copy of
+    its descriptor, so the server's ``close()`` alone sends no FIN.
+    """
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     reason = _REASONS.get(status, "Unknown")
     head = (
@@ -162,6 +168,8 @@ async def write_json(
     ).encode("latin-1")
     writer.write(head + body)
     await writer.drain()
+    if writer.can_write_eof():
+        writer.write_eof()
 
 
 async def fetch_json(

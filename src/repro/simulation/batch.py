@@ -629,9 +629,9 @@ def _apply_postprocess(
         return None, f"{type(exc).__name__}: {exc}"
 
 
-#: Per-worker-process cache of opened sharded stores, keyed by
-#: (directory, shard count).  A pool worker re-used across chunks keeps
-#: its shard connections open instead of reconnecting per run.
+#: Per-worker-process cache of opened directory stores, keyed by
+#: (directory, file count).  A pool worker re-used across chunks keeps
+#: its file connections open instead of reconnecting per run.
 _WORKER_STORES: dict = {}
 
 
@@ -639,9 +639,9 @@ def _worker_store(path: str, shards: int) -> Any:
     key = (path, shards)
     store = _WORKER_STORES.get(key)
     if store is None:
-        from repro.store.sharded import ShardedRunStore
+        from repro.store.runstore import RunStore
 
-        store = ShardedRunStore(path, shards=shards)
+        store = RunStore(path, shards=shards)
         _WORKER_STORES[key] = store
     return store
 
@@ -653,15 +653,15 @@ class _StoreWritingPostprocess:
     With a single-file store, cache-aware batches keep every write in
     the parent (one WAL file serializes its writers anyway) — which
     also forces raw :class:`SimulationResult` payloads across the
-    process boundary.  A sharded store flips both costs: this wrapper
-    runs inside the pool worker, writes the freshly computed result
-    into the worker's own shard connection (fingerprint routing means
-    distinct shards never contend), and only then applies the user's
-    reducer — so the parent receives the reduced payload and performs
-    no store writes at all.
+    process boundary.  A store of ``shards > 1`` files flips both
+    costs: this wrapper runs inside the pool worker, writes the freshly
+    computed result into the worker's own file connection (fingerprint
+    routing means distinct files never contend), and only then applies
+    the user's reducer — so the parent receives the reduced payload and
+    performs no store writes at all.
 
     Picklable by construction (the store travels as its directory path
-    + shard count and is reopened lazily per worker process via
+    + file count and is reopened lazily per worker process via
     :data:`_WORKER_STORES`).  Under serial degradation the wrapper
     simply runs in the parent process and stays correct.  A store
     write failure fails the run (captured per-record like any other
@@ -709,8 +709,8 @@ def _execute_batch_cached(
     ``readwrite`` mode they return raw
     :class:`~repro.simulation.results.SimulationResult` payloads (any
     ``postprocess`` is applied parent-side after the store write).  A
-    store advertising ``concurrent_writers`` (the sharded store)
-    instead has each pool worker write its own shards directly via
+    store of ``shards > 1`` files instead has each pool worker write
+    its own files directly via
     :class:`_StoreWritingPostprocess` — the reducer then runs
     worker-side and raw payloads never cross the process boundary.
     Either way a sweep's reducer sees the same values whether its
@@ -746,15 +746,15 @@ def _execute_batch_cached(
     inner_workers, parallel = 1, False
     degraded_reason: Optional[str] = None
     if misses:
-        # Stores that support concurrent multi-process writers (the
-        # sharded store) let each worker write its own shards and ship
-        # only the reduced payload back; single-file stores keep every
-        # write in the parent, which also needs the raw result back.
+        # A store of several files lets each worker write its own
+        # files and ship only the reduced payload back; a one-file
+        # store keeps every write in the parent (one WAL file
+        # serializes its writers), which also needs the raw result back.
         worker_writes = (
             binding.writes
             and workers > 1
             and backend == "scalar"
-            and getattr(binding.store, "concurrent_writers", False)
+            and binding.store.shards > 1
         )
         if worker_writes:
             binding.store.prepare()

@@ -20,8 +20,8 @@ outcomes are literally the first ``n`` outcomes of the fixed-grid run
 of the same cell, and every executed run is fingerprinted and served
 from the run store on re-execution (``cache=`` has the usual
 :mod:`repro.store.cache` semantics; point it at a
-:class:`~repro.store.sharded.ShardedRunStore` to let the pool workers
-write their shards concurrently).
+``RunStore(path, shards=N)`` directory store to let the pool workers
+write their files concurrently).
 
 The driver fans each round out through
 :func:`~repro.simulation.batch.execute_batch` (``workers=`` /
@@ -404,8 +404,8 @@ def run_sweep(
         ``"fixed"`` (every cell runs exactly ``max_runs``; one round).
     workers / cache / backend:
         Passed through to :func:`~repro.simulation.batch.execute_batch`
-        each round.  A sharded readwrite cache makes rerun sweeps pure
-        replay (every run keyed by fingerprint).
+        each round.  A readwrite cache makes rerun sweeps pure replay
+        (every run keyed by fingerprint).
 
     Returns a :class:`SweepResult`; per-cell outcomes are in seed-list
     order, so an adaptive cell's ``outcomes`` is a prefix of the fixed

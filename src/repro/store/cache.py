@@ -9,9 +9,8 @@ layers between them:
 * ``"readonly"`` — fingerprint hits are served from the default store,
   misses are computed but **not** written back;
 * ``"readwrite"`` — hits are served, misses are computed and stored;
-* a :class:`~repro.store.runstore.RunStore` or
-  :class:`~repro.store.sharded.ShardedRunStore` — readwrite against
-  that store (the caller keeps ownership of its lifetime);
+* a :class:`~repro.store.runstore.RunStore` — readwrite against that
+  store (the caller keeps ownership of its lifetime);
 * a :class:`CacheBinding` — full control of (store, mode).
 
 :func:`resolve_cache` normalizes all of those to an optional
@@ -22,11 +21,10 @@ created the store itself and should close it when the batch finishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.store.runstore import RunStore
-from repro.store.sharded import ShardedRunStore
 
 __all__ = ["CACHE_MODES", "CacheBinding", "resolve_cache"]
 
@@ -38,7 +36,7 @@ CACHE_MODES = ("off", "readonly", "readwrite")
 class CacheBinding:
     """A run store bound to an access mode for one batch execution."""
 
-    store: Union[RunStore, ShardedRunStore]
+    store: RunStore
     mode: str = "readwrite"
     owns_store: bool = False
 
@@ -65,7 +63,7 @@ def resolve_cache(cache: Any) -> Optional[CacheBinding]:
         return None
     if isinstance(cache, CacheBinding):
         return cache
-    if isinstance(cache, (RunStore, ShardedRunStore)):
+    if isinstance(cache, RunStore):
         return CacheBinding(store=cache, mode="readwrite", owns_store=False)
     if isinstance(cache, str):
         if cache not in CACHE_MODES:
@@ -74,6 +72,6 @@ def resolve_cache(cache: Any) -> Optional[CacheBinding]:
             )
         return CacheBinding(store=RunStore(), mode=cache, owns_store=True)
     raise ConfigurationError(
-        "cache must be a mode string, a RunStore, a ShardedRunStore or "
-        f"a CacheBinding, got {type(cache).__name__}"
+        "cache must be a mode string, a RunStore or a CacheBinding, "
+        f"got {type(cache).__name__}"
     )

@@ -3,30 +3,49 @@
 One row per content-addressed run (see
 :mod:`repro.store.fingerprint`): spec dict, headline summary, and the
 full trace payload as a zlib-compressed binary block (JSON metadata
-header + packed ``float64`` arrays).  The stdlib
-``sqlite3`` is the whole persistence stack — no external services, one
-file on disk, safe for concurrent access:
+header + packed ``float64`` arrays).  The stdlib ``sqlite3`` is the
+whole persistence stack — no external services.
 
-* the database runs in WAL mode with an explicit ``busy_timeout``
+A store is a list of SQLite files; a run lives in file
+:func:`shard_index` ``(fingerprint, n)``.  Two on-disk layouts:
+
+* **one file** — an existing ``.sqlite`` file, or a fresh path opened
+  without ``shards``: ``RunStore("runs.sqlite")``;
+* **a directory of N files** — a directory holding a ``shards.json``
+  manifest, or a fresh path opened with ``shards=N``::
+
+      <dir>/
+          shards.json        # {"layout": "fingerprint-prefix-v1", "shards": N}
+          shard-0000.sqlite
+          shard-0001.sqlite
+          ...
+
+  The manifest pins the geometry, so reopening autodetects it and a
+  store can never be consulted with the wrong modulus.  Distinct files
+  never contend, which is why batch pool workers write their own files
+  directly when ``shards > 1`` (see :mod:`repro.simulation.batch`).
+
+Every file is safe for concurrent access:
+
+* it runs in WAL mode with an explicit ``busy_timeout``
   (:data:`BUSY_TIMEOUT_MS`), so readers never block the (single)
-  writer and multiple processes can share one store file; writes that
-  still lose the lock race retry a bounded number of times
+  writer and multiple processes can share one file; writes that still
+  lose the lock race retry a bounded number of times
   (:data:`WRITE_RETRIES`) with exponential backoff before surfacing a
-  :class:`StoreContentionError` that names the store and the attempt
+  :class:`StoreContentionError` that names the file and the attempt
   count — callers never see a raw ``sqlite3.OperationalError:
   database is locked``;
 * connections are opened lazily and re-opened after a ``fork`` (the
   owning pid is tracked), so a store object that leaks into a
   ``ProcessPoolExecutor`` worker does not share a connection with the
-  parent — though the cache-aware batch path in
-  :mod:`repro.simulation.batch` deliberately touches the store from the
-  parent process only;
+  parent;
 * payload floats round-trip exactly (``float64`` in, ``float64``
   out), so a cache hit is bit-identical to recomputing the run.
 
-The default store location is ``$REPRO_CACHE_DIR/runstore.sqlite`` when
-that variable is set, else ``$XDG_CACHE_HOME/repro/runstore.sqlite``,
-else ``~/.cache/repro/runstore.sqlite``.
+The default one-file store is ``$REPRO_CACHE_DIR/runstore.sqlite``
+when that variable is set, else ``$XDG_CACHE_HOME/repro/runstore.sqlite``,
+else ``~/.cache/repro/runstore.sqlite``; the default directory store
+is ``runstore-shards/`` next to it.
 """
 
 from __future__ import annotations
@@ -39,12 +58,12 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.simulation.io import result_to_dict
 from repro.simulation.results import SimulationResult
 from repro.types import DetectionEvent, TimeSeries
@@ -54,14 +73,20 @@ __all__ = [
     "StoreStats",
     "ShardStats",
     "StoreContentionError",
+    "merge_stores",
+    "shard_index",
     "default_store_path",
+    "default_sharded_store_path",
+    "SHARD_LAYOUT",
+    "MANIFEST_NAME",
+    "MAX_SHARDS",
     "BUSY_TIMEOUT_MS",
     "WRITE_RETRIES",
 ]
 
 #: Column order of the ``runs`` table — the raw-row contract shared by
-#: :meth:`RunStore.iter_rows` / :meth:`RunStore.put_row` and the
-#: shard ``merge`` / ``export`` machinery in :mod:`repro.store.sharded`.
+#: :meth:`RunStore.iter_rows` / :meth:`RunStore.put_row` and
+#: :func:`merge_stores`.
 ROW_COLUMNS = (
     "fingerprint",
     "schema_version",
@@ -76,6 +101,11 @@ ROW_COLUMNS = (
     "payload_codec",
     "payload_bytes",
     "created_at",
+)
+
+#: The columns :meth:`RunStore.export` reads (everything but the payload).
+_EXPORT_COLUMNS = tuple(
+    column for column in ROW_COLUMNS if column not in ("payload", "payload_codec")
 )
 
 PathLike = Union[str, Path]
@@ -94,14 +124,26 @@ WRITE_RETRIES = 5
 #: attempt ``k`` sleeps ``WRITE_RETRY_BACKOFF_S * 2**k``.
 WRITE_RETRY_BACKOFF_S = 0.05
 
+#: Routing-layout identifier written to the manifest.  Bump if the
+#: fingerprint→file function ever changes; a mismatched layout is
+#: refused instead of silently routing reads to the wrong file.
+SHARD_LAYOUT = "fingerprint-prefix-v1"
+
+#: Manifest file pinning the geometry of a directory store.
+MANIFEST_NAME = "shards.json"
+
+#: Upper bound on the file count — far past any useful fan-out, it
+#: only guards against typos creating 10^6 database files.
+MAX_SHARDS = 4096
+
 
 class StoreContentionError(ReproError):
     """A store write kept losing the SQLite lock race.
 
     Raised only after :data:`WRITE_RETRIES` bounded retries on top of
     the :data:`BUSY_TIMEOUT_MS` busy handler — seeing this means the
-    store is genuinely oversubscribed (consider sharding it; see
-    :mod:`repro.store.sharded`), not that a writer got unlucky once.
+    file is genuinely oversubscribed (consider a directory store with
+    more files), not that a writer got unlucky once.
     """
 
 
@@ -147,6 +189,44 @@ def default_store_path() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro" / "runstore.sqlite"
+
+
+def default_sharded_store_path() -> Path:
+    """Default directory of a store opened with ``shards=`` and no path.
+
+    Lives next to :func:`default_store_path` (``runstore.sqlite`` →
+    ``runstore-shards/``), honoring the same ``REPRO_CACHE_DIR`` /
+    ``XDG_CACHE_HOME`` overrides.
+    """
+    return default_store_path().parent / "runstore-shards"
+
+
+def shard_index(fingerprint: str, n_shards: int) -> int:
+    """Route a fingerprint to its file: ``int(fp[:8], 16) % n_shards``.
+
+    The fingerprint is a SHA-256 hex digest, so its leading 32 bits are
+    uniformly distributed and the modulo spreads entries evenly across
+    any file count.  Deterministic and coordination-free: every
+    process, on every host, routes identically.
+    """
+    return int(fingerprint[:8], 16) % n_shards
+
+
+def _shard_filename(index: int) -> str:
+    return f"shard-{index:04d}.sqlite"
+
+
+def _validate_shards(shards: int) -> int:
+    if not isinstance(shards, int) or isinstance(shards, bool):
+        raise ConfigurationError(
+            f"shards must be an integer >= 1, got {shards!r} "
+            f"({type(shards).__name__})"
+        )
+    if not 1 <= shards <= MAX_SHARDS:
+        raise ConfigurationError(
+            f"shards must be between 1 and {MAX_SHARDS}, got {shards}"
+        )
+    return shards
 
 
 def _encode_payload(result: SimulationResult) -> bytes:
@@ -201,7 +281,7 @@ def _decode_payload(blob: bytes, codec: str) -> SimulationResult:
 
 @dataclass(frozen=True)
 class ShardStats:
-    """Per-shard slice of a :class:`StoreStats` snapshot."""
+    """Per-file slice of a :class:`StoreStats` snapshot."""
 
     shard: str
     entries: int
@@ -221,11 +301,10 @@ class ShardStats:
 class StoreStats:
     """Snapshot of a store's contents (``repro cache stats``).
 
-    ``shards`` is empty for a single-file :class:`RunStore` and holds
-    one :class:`ShardStats` per shard for a
-    :class:`~repro.store.sharded.ShardedRunStore` — every consumer of
-    :meth:`as_dict` (the CLI's ``cache stats --json``, the service's
-    ``GET /v1/store/stats``) gets the per-shard breakdown through this
+    ``shards`` is empty for a one-file store and holds one
+    :class:`ShardStats` per file of a directory store — every consumer
+    of :meth:`as_dict` (the CLI's ``cache stats --json``, the service's
+    ``GET /v1/store/stats``) gets the per-file breakdown through this
     one shared path.
     """
 
@@ -238,7 +317,7 @@ class StoreStats:
 
     @property
     def shard_count(self) -> int:
-        """Number of physical database files (1 for a plain store)."""
+        """Number of physical database files (1 for a one-file store)."""
         return len(self.shards) or 1
 
     def as_dict(self) -> dict:
@@ -286,45 +365,26 @@ class StoreStats:
         return rows
 
 
-class RunStore:
-    """Content-addressed persistent cache of simulation runs.
+class _File:
+    """One SQLite/WAL file of a store: a lazy, fork-aware connection
+    and the bounded-retry insert."""
 
-    Keys are the SHA-256 fingerprints of
-    :func:`repro.store.fingerprint.run_fingerprint`; values are full
-    :class:`~repro.simulation.results.SimulationResult` payloads plus
-    queryable metadata (scenario name, seed, horizon, headline summary).
+    __slots__ = ("path", "_conn", "_pid")
 
-    The store is a context manager; ``close()`` is otherwise optional
-    (connections are also released when the object is collected).
-    """
-
-    #: Whether cache-aware batch execution may let pool workers write
-    #: to this store directly.  A single WAL file serializes its
-    #: writers, so batch keeps all writes in the parent process; the
-    #: sharded store (:mod:`repro.store.sharded`) overrides this.
-    concurrent_writers = False
-
-    def __init__(self, path: Optional[PathLike] = None) -> None:
-        self._path = Path(path) if path is not None else default_store_path()
+    def __init__(self, path: Path) -> None:
+        self.path = path
         self._conn: Optional[sqlite3.Connection] = None
         self._pid: Optional[int] = None
 
-    # -- connection management -----------------------------------------
-
-    @property
-    def path(self) -> Path:
-        """Location of the database file."""
-        return self._path
-
-    def _connect(self) -> sqlite3.Connection:
+    def connect(self) -> sqlite3.Connection:
         if self._conn is not None and self._pid == os.getpid():
             return self._conn
         if self._conn is not None:
             # Inherited across a fork: drop the parent's handle without
             # closing it (closing would roll back the parent's journal).
             self._conn = None
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self._path), timeout=BUSY_TIMEOUT_MS / 1000.0)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(str(self.path), timeout=BUSY_TIMEOUT_MS / 1000.0)
         conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
@@ -335,11 +395,195 @@ class RunStore:
         return conn
 
     def close(self) -> None:
-        """Release the database connection (if any)."""
         if self._conn is not None and self._pid == os.getpid():
             self._conn.close()
         self._conn = None
         self._pid = None
+
+    def insert(self, values: Tuple) -> bool:
+        """Insert one raw row with bounded lock-race retries.
+
+        The busy handler (:data:`BUSY_TIMEOUT_MS`) absorbs ordinary
+        contention; the bounded retry loop on top covers the pathologic
+        case where the handler itself times out under many concurrent
+        writers.  After :data:`WRITE_RETRIES` failed attempts the
+        write surfaces as :class:`StoreContentionError` rather than a
+        raw ``sqlite3.OperationalError``.
+        """
+        sql = (
+            f"INSERT INTO runs ({', '.join(ROW_COLUMNS)}) "
+            f"VALUES ({', '.join('?' for _ in ROW_COLUMNS)}) "
+            "ON CONFLICT(fingerprint) DO NOTHING"
+        )
+        for attempt in range(WRITE_RETRIES):
+            try:
+                conn = self.connect()
+                with conn:
+                    cursor = conn.execute(sql, values)
+                return cursor.rowcount > 0
+            except sqlite3.OperationalError as exc:
+                if not _is_lock_error(exc):
+                    raise
+                _telemetry.incr("store.write_retries")
+                if attempt == WRITE_RETRIES - 1:
+                    raise StoreContentionError(
+                        f"store {self.path} stayed locked through "
+                        f"{WRITE_RETRIES} write attempts "
+                        f"(busy_timeout {BUSY_TIMEOUT_MS} ms each): {exc}"
+                    ) from exc
+                time.sleep(WRITE_RETRY_BACKOFF_S * (2 ** attempt))
+        raise AssertionError("unreachable")  # pragma: no cover
+
+
+class RunStore:
+    """Content-addressed persistent cache of simulation runs.
+
+    Keys are the SHA-256 fingerprints of
+    :func:`repro.store.fingerprint.run_fingerprint`; values are full
+    :class:`~repro.simulation.results.SimulationResult` payloads plus
+    queryable metadata (scenario name, seed, horizon, headline summary).
+
+    ``path`` is a ``.sqlite`` file or a directory of ``shards`` files
+    (see the module docstring).  ``shards`` may be omitted when opening
+    an existing directory (its manifest pins the geometry); when both
+    are present they must agree.  Files open lazily, and reads never
+    create one.
+
+    The store is a context manager; ``close()`` is otherwise optional
+    (connections are also released when the object is collected).
+    """
+
+    def __init__(
+        self,
+        path: Optional[PathLike] = None,
+        *,
+        shards: Optional[int] = None,
+    ) -> None:
+        if path is None:
+            path = (
+                default_store_path() if shards is None
+                else default_sharded_store_path()
+            )
+        self._path = Path(path)
+        count = self._read_manifest()
+        if count is not None:
+            if shards is not None and shards != count:
+                raise ConfigurationError(
+                    f"store at {self._path} is laid out as {count} shards; "
+                    f"cannot reopen it with shards={shards} (merge into a "
+                    f"fresh store to change the geometry)"
+                )
+        elif shards is not None:
+            if self._path.is_file():
+                raise ConfigurationError(
+                    f"store at {self._path} is a single file; cannot open "
+                    f"it with shards={shards} (merge into a fresh directory "
+                    f"to change the geometry)"
+                )
+            count = _validate_shards(shards)
+        elif self._path.is_dir():
+            raise ConfigurationError(
+                f"{self._path} is a directory without a {MANIFEST_NAME} "
+                f"manifest; pass shards= to create a store there"
+            )
+        if count is None:
+            self._manifest: Optional[Path] = None
+            self._files = [_File(self._path)]
+        else:
+            self._manifest = self._path / MANIFEST_NAME
+            self._files = [
+                _File(self._path / _shard_filename(index))
+                for index in range(count)
+            ]
+
+    # -- geometry ------------------------------------------------------
+
+    @property
+    def path(self) -> Path:
+        """The database file, or the directory of a directory store."""
+        return self._path
+
+    @property
+    def shards(self) -> int:
+        """Number of database files the runs are routed across."""
+        return len(self._files)
+
+    def _read_manifest(self) -> Optional[int]:
+        """The file count pinned by ``path``'s manifest, if it has one."""
+        if not self._path.is_dir():
+            return None
+        manifest_path = self._path / MANIFEST_NAME
+        try:
+            text = manifest_path.read_text()
+        except FileNotFoundError:
+            if not any(p.name.startswith("shard-") for p in self._path.iterdir()):
+                return None
+            # prepare() always lands the manifest *before* any shard
+            # file is written, so seeing shard files here means a
+            # concurrent writer's manifest arrived between our two
+            # checks — re-read before refusing the directory.
+            try:
+                text = manifest_path.read_text()
+            except FileNotFoundError:
+                raise ConfigurationError(
+                    f"{self._path} contains shard files but no "
+                    f"{MANIFEST_NAME} manifest; refusing to guess the "
+                    f"geometry"
+                ) from None
+        try:
+            manifest = json.loads(text)
+            layout = manifest["layout"]
+            count = manifest["shards"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigurationError(
+                f"unreadable shard manifest {manifest_path}: {exc}"
+            ) from exc
+        if layout != SHARD_LAYOUT:
+            raise ConfigurationError(
+                f"store at {self._path} uses unknown shard layout "
+                f"{layout!r} (this build understands {SHARD_LAYOUT!r})"
+            )
+        return _validate_shards(count)
+
+    def prepare(self) -> "RunStore":
+        """Create a directory store's manifest (idempotent, race-safe).
+
+        Writers call this before fanning out so every worker process
+        finds a pinned geometry; an atomic rename makes concurrent
+        creation by several processes converge on one manifest.  A
+        one-file store has nothing to prepare.
+        """
+        manifest_path = self._manifest
+        if manifest_path is None or manifest_path.exists():
+            return self
+        self._path.mkdir(parents=True, exist_ok=True)
+        tmp = manifest_path.with_suffix(f".tmp.{os.getpid()}")
+        tmp.write_text(
+            json.dumps(
+                {"layout": SHARD_LAYOUT, "shards": self.shards}, indent=2
+            )
+            + "\n"
+        )
+        try:
+            os.replace(tmp, manifest_path)
+        finally:
+            if tmp.exists():  # pragma: no cover - lost the rename race
+                tmp.unlink()
+        return self
+
+    def _file(self, fingerprint: str) -> _File:
+        return self._files[shard_index(fingerprint, len(self._files))]
+
+    def _existing(self) -> List[_File]:
+        """The files that exist on disk (reads create none)."""
+        return [file for file in self._files if file.path.exists()]
+
+    # -- lifecycle -----------------------------------------------------
+
+    def close(self) -> None:
+        """Release every open database connection."""
+        for file in self._files:
+            file.close()
 
     def __enter__(self) -> "RunStore":
         return self
@@ -372,7 +616,8 @@ class RunStore:
 
         payload = _encode_payload(result)
         summary = json.dumps(result.summary().as_dict())
-        written = self._insert_row(
+        self.prepare()
+        written = self._file(fingerprint).insert(
             (
                 fingerprint,
                 STORE_SCHEMA_VERSION,
@@ -398,55 +643,20 @@ class RunStore:
                 tele.incr("store.write_skips")
         return written
 
-    def _insert_row(self, values: Tuple) -> bool:
-        """Insert one raw row with bounded lock-race retries.
-
-        The busy handler (:data:`BUSY_TIMEOUT_MS`) absorbs ordinary
-        contention; the bounded retry loop on top covers the pathologic
-        case where the handler itself times out under many concurrent
-        writers.  After :data:`WRITE_RETRIES` failed attempts the
-        write surfaces as :class:`StoreContentionError` rather than a
-        raw ``sqlite3.OperationalError``.
-        """
-        sql = (
-            f"INSERT INTO runs ({', '.join(ROW_COLUMNS)}) "
-            f"VALUES ({', '.join('?' for _ in ROW_COLUMNS)}) "
-            "ON CONFLICT(fingerprint) DO NOTHING"
-        )
-        for attempt in range(WRITE_RETRIES):
-            try:
-                conn = self._connect()
-                with conn:
-                    cursor = conn.execute(sql, values)
-                return cursor.rowcount > 0
-            except sqlite3.OperationalError as exc:
-                if not _is_lock_error(exc):
-                    raise
-                _telemetry.incr("store.write_retries")
-                if attempt == WRITE_RETRIES - 1:
-                    raise StoreContentionError(
-                        f"store {self._path} stayed locked through "
-                        f"{WRITE_RETRIES} write attempts "
-                        f"(busy_timeout {BUSY_TIMEOUT_MS} ms each): {exc}"
-                    ) from exc
-                time.sleep(WRITE_RETRY_BACKOFF_S * (2 ** attempt))
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def get(self, fingerprint: str) -> Optional[SimulationResult]:
         """Fetch the run stored under ``fingerprint`` (``None`` on miss).
 
-        A store file that does not exist yet is an unconditional miss
-        and is *not* created by reads.
+        A database file that does not exist yet is an unconditional
+        miss and is *not* created by reads.
         """
         tele = _telemetry.current()
-        if not self._path.exists():
-            if tele is not None:
-                tele.incr("store.misses")
-            return None
-        row = self._connect().execute(
-            "SELECT payload, payload_codec FROM runs WHERE fingerprint = ?",
-            (fingerprint,),
-        ).fetchone()
+        file = self._file(fingerprint)
+        row = None
+        if file.path.exists():
+            row = file.connect().execute(
+                "SELECT payload, payload_codec FROM runs WHERE fingerprint = ?",
+                (fingerprint,),
+            ).fetchone()
         if row is None:
             if tele is not None:
                 tele.incr("store.misses")
@@ -457,47 +667,41 @@ class RunStore:
         return _decode_payload(row[0], row[1])
 
     def __contains__(self, fingerprint: str) -> bool:
-        if not self._path.exists():
+        file = self._file(fingerprint)
+        if not file.path.exists():
             return False
-        row = self._connect().execute(
+        row = file.connect().execute(
             "SELECT 1 FROM runs WHERE fingerprint = ?", (fingerprint,)
         ).fetchone()
         return row is not None
 
     def __len__(self) -> int:
-        if not self._path.exists():
-            return 0
-        (count,) = self._connect().execute(
-            "SELECT COUNT(*) FROM runs"
-        ).fetchone()
-        return int(count)
+        return sum(
+            file.connect().execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+            for file in self._existing()
+        )
 
     def fingerprints(self) -> List[str]:
-        """All stored fingerprints (insertion-order agnostic)."""
-        if not self._path.exists():
-            return []
-        rows = self._connect().execute(
-            "SELECT fingerprint FROM runs ORDER BY fingerprint"
-        ).fetchall()
-        return [row[0] for row in rows]
+        """All stored fingerprints, sorted."""
+        return sorted(row["fingerprint"] for row in self._rows(("fingerprint",)))
 
-    # -- raw-row transfer (the merge/export substrate) -----------------
+    # -- raw-row transfer (the merge substrate) ------------------------
 
-    def iter_rows(self) -> Iterable[Dict[str, Any]]:
+    def _rows(self, columns: Tuple[str, ...]) -> Iterator[Dict[str, Any]]:
+        sql = f"SELECT {', '.join(columns)} FROM runs ORDER BY fingerprint"
+        for file in self._existing():
+            for row in file.connect().execute(sql):
+                yield dict(zip(columns, row))
+
+    def iter_rows(self) -> Iterator[Dict[str, Any]]:
         """Yield every stored row as a :data:`ROW_COLUMNS` dict.
 
         The payload blob travels opaque and untouched — no decode /
-        re-encode round-trip — which is what makes ``merge`` between
-        stores bit-preserving by construction.  Rows come out in
-        fingerprint order.
+        re-encode round-trip — which is what makes :func:`merge_stores`
+        bit-preserving by construction.  Rows come out in fingerprint
+        order within each file, file by file.
         """
-        if not self._path.exists():
-            return
-        cursor = self._connect().execute(
-            f"SELECT {', '.join(ROW_COLUMNS)} FROM runs ORDER BY fingerprint"
-        )
-        for row in cursor:
-            yield dict(zip(ROW_COLUMNS, row))
+        return self._rows(ROW_COLUMNS)
 
     def put_row(self, row: Dict[str, Any]) -> bool:
         """Insert one raw row (immutable semantics, like :meth:`put`).
@@ -507,34 +711,53 @@ class RunStore:
         Returns whether a new row was written (an existing fingerprint
         is left untouched).
         """
-        return self._insert_row(tuple(row[column] for column in ROW_COLUMNS))
+        self.prepare()
+        return self._file(row["fingerprint"]).insert(
+            tuple(row[column] for column in ROW_COLUMNS)
+        )
 
     # -- maintenance ---------------------------------------------------
 
     def stats(self) -> StoreStats:
-        """Entry/byte counts, without creating a missing store file."""
-        if not self._path.exists():
-            return StoreStats(
-                path=str(self._path),
-                entries=0,
-                payload_bytes=0,
-                db_bytes=0,
-                by_scenario=(),
+        """Entry/byte counts, without creating a missing database file.
+
+        A directory store adds one :class:`ShardStats` per file —
+        including zero-entry stats for files not created yet.
+        """
+        by_scenario: Dict[str, int] = {}
+        per_file: List[ShardStats] = []
+        for file in self._files:
+            entries = payload_bytes = db_bytes = 0
+            if file.path.exists():
+                conn = file.connect()
+                entries, payload_bytes = conn.execute(
+                    "SELECT COUNT(*), COALESCE(SUM(payload_bytes), 0) FROM runs"
+                ).fetchone()
+                for name, count in conn.execute(
+                    "SELECT name, COUNT(*) FROM runs GROUP BY name"
+                ):
+                    by_scenario[str(name)] = by_scenario.get(str(name), 0) + count
+                db_bytes = file.path.stat().st_size
+            per_file.append(
+                ShardStats(
+                    shard=file.path.name,
+                    entries=int(entries),
+                    payload_bytes=int(payload_bytes),
+                    db_bytes=db_bytes,
+                )
             )
-        conn = self._connect()
-        entries, payload_bytes = conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(payload_bytes), 0) FROM runs"
-        ).fetchone()
-        by_name = conn.execute(
-            "SELECT name, COUNT(*) FROM runs GROUP BY name ORDER BY name"
-        ).fetchall()
         return StoreStats(
             path=str(self._path),
-            entries=int(entries),
-            payload_bytes=int(payload_bytes),
-            db_bytes=self._path.stat().st_size,
-            by_scenario=tuple((str(n), int(c)) for n, c in by_name),
+            entries=sum(s.entries for s in per_file),
+            payload_bytes=sum(s.payload_bytes for s in per_file),
+            db_bytes=sum(s.db_bytes for s in per_file),
+            by_scenario=tuple(sorted(by_scenario.items())),
+            shards=tuple(per_file) if self._manifest is not None else (),
         )
+
+    def scenario_counts(self) -> Dict[str, int]:
+        """Stored-run count per scenario name."""
+        return dict(self.stats().by_scenario)
 
     def evict(
         self,
@@ -544,38 +767,45 @@ class RunStore:
     ) -> int:
         """Delete selected entries; returns the number removed.
 
-        ``fingerprints`` limits eviction to those keys; ``before``
-        (a UNIX timestamp) evicts entries created earlier than it.
-        With neither filter, everything is evicted.
+        ``fingerprints`` limits eviction to those keys (each routed to
+        its own file); ``before`` (a UNIX timestamp) evicts entries
+        created earlier than it.  With neither filter, everything is
+        evicted.
         """
-        if not self._path.exists():
-            return 0
-        clauses: List[str] = []
-        params: List[object] = []
-        if fingerprints is not None:
-            keys = list(fingerprints)
-            if not keys:
-                return 0
-            clauses.append(
-                f"fingerprint IN ({','.join('?' for _ in keys)})"
+        if fingerprints is None:
+            groups: Dict[int, Optional[List[str]]] = dict.fromkeys(
+                range(len(self._files))
             )
-            params.extend(keys)
-        if before is not None:
-            clauses.append("created_at < ?")
-            params.append(float(before))
-        sql = "DELETE FROM runs"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        conn = self._connect()
-        with conn:
-            removed = conn.execute(sql, params).rowcount
-        return int(removed)
+        else:
+            groups = {}
+            for key in fingerprints:
+                groups.setdefault(shard_index(key, len(self._files)), []).append(key)
+        removed = 0
+        for index, keys in sorted(groups.items()):
+            file = self._files[index]
+            if not file.path.exists():
+                continue
+            clauses: List[str] = []
+            params: List[object] = []
+            if keys is not None:
+                clauses.append(f"fingerprint IN ({','.join('?' for _ in keys)})")
+                params.extend(keys)
+            if before is not None:
+                clauses.append("created_at < ?")
+                params.append(float(before))
+            sql = "DELETE FROM runs"
+            if clauses:
+                sql += " WHERE " + " AND ".join(clauses)
+            conn = file.connect()
+            with conn:
+                removed += conn.execute(sql, params).rowcount
+        return removed
 
     def clear(self) -> int:
-        """Evict every entry and compact the database file."""
+        """Evict every entry and compact the database files."""
         removed = self.evict()
-        if self._path.exists():
-            self._connect().execute("VACUUM")
+        for file in self._existing():
+            file.connect().execute("VACUUM")
         return removed
 
     def export(self, path: PathLike) -> Path:
@@ -583,38 +813,53 @@ class RunStore:
 
         The export is a portable inventory — enough to audit what a
         cache contains and to re-run any entry from its spec dict.
+        Entries are sorted by fingerprint; a directory store also
+        records its ``layout`` and ``shards``.
         """
-        entries = []
-        if self._path.exists():
-            rows = self._connect().execute(
-                "SELECT fingerprint, schema_version, name, attack_enabled, "
-                "defended, sensor_seed, horizon, spec_json, summary_json, "
-                "payload_bytes, created_at FROM runs ORDER BY fingerprint"
-            ).fetchall()
-            for row in rows:
-                entries.append(
-                    {
-                        "fingerprint": row[0],
-                        "schema_version": row[1],
-                        "name": row[2],
-                        "attack_enabled": bool(row[3]),
-                        "defended": bool(row[4]),
-                        "sensor_seed": row[5],
-                        "horizon": row[6],
-                        "spec": json.loads(row[7]),
-                        "summary": json.loads(row[8]),
-                        "payload_bytes": row[9],
-                        "created_at": row[10],
-                    }
-                )
+        entries = [
+            {
+                "fingerprint": row["fingerprint"],
+                "schema_version": row["schema_version"],
+                "name": row["name"],
+                "attack_enabled": bool(row["attack_enabled"]),
+                "defended": bool(row["defended"]),
+                "sensor_seed": row["sensor_seed"],
+                "horizon": row["horizon"],
+                "spec": json.loads(row["spec_json"]),
+                "summary": json.loads(row["summary_json"]),
+                "payload_bytes": row["payload_bytes"],
+                "created_at": row["created_at"],
+            }
+            for row in self._rows(_EXPORT_COLUMNS)
+        ]
+        entries.sort(key=lambda entry: entry["fingerprint"])
+        document: Dict[str, Any] = {"store": str(self._path)}
+        if self._manifest is not None:
+            document.update(layout=SHARD_LAYOUT, shards=self.shards)
+        document["entries"] = entries
         out = Path(path)
-        out.write_text(
-            json.dumps(
-                {"store": str(self._path), "entries": entries}, indent=2
-            )
-        )
+        out.write_text(json.dumps(document, indent=2))
         return out
 
-    def scenario_counts(self) -> Dict[str, int]:
-        """Stored-run count per scenario name."""
-        return dict(self.stats().by_scenario)
+
+def merge_stores(source: RunStore, dest: RunStore) -> int:
+    """Copy every run of ``source`` into ``dest``; returns rows written.
+
+    Works across layouts — a directory into one file collapses a
+    sweep's files into one archive, one file into a directory re-shards
+    a legacy store, directory into directory changes the file count.
+    Transfers raw rows (payload blobs untouched), so a merged entry
+    replays bit-identically to its origin; fingerprints already in
+    ``dest`` are skipped (immutable-insert semantics).
+    """
+    written = 0
+    with _telemetry.span(
+        "store.merge", source=str(source.path), dest=str(dest.path)
+    ) as span:
+        for row in source.iter_rows():
+            if dest.put_row(row):
+                written += 1
+            _telemetry.incr("store.merge_rows")
+        span.set(written=written)
+    _telemetry.incr("store.merges")
+    return written

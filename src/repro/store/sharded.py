@@ -1,494 +1,15 @@
-"""Sharded run store: the content-addressed store past one SQLite file.
+"""``ShardedRunStore``: another name for :class:`~repro.store.runstore.RunStore`.
 
-A single WAL database serializes its writers — fine for one process
-filling a cache, a bottleneck for a sweep fanning 10k runs over a
-worker pool.  :class:`ShardedRunStore` partitions the store across N
-independent SQLite/WAL shard files by **fingerprint prefix**:
-
-* the shard of a run is ``int(fingerprint[:8], 16) % n_shards``
-  (:func:`shard_index`) — a pure function of the content address, so
-  every process routes every fingerprint identically with no
-  coordination;
-* each shard is an ordinary :class:`~repro.store.runstore.RunStore`
-  opened lazily, so a batch worker that only ever writes runs landing
-  in shard 3 opens exactly one database file — concurrent
-  multi-process writers never contend across shards, and within a
-  shard the WAL busy-timeout + bounded-retry machinery of
-  :class:`RunStore` applies;
-* the directory carries a ``shards.json`` manifest pinning the shard
-  count and routing layout, so a store can never be reopened with the
-  wrong geometry and silently miss its own entries.
-
-The class presents the full :class:`RunStore` interface (``get`` /
-``put`` / ``stats`` / ``evict`` / ``export`` / iteration), replays
-stored runs bit-identically (payload blobs are routed, never
-re-encoded), and adds :meth:`merge_from` — row-level bulk transfer
-from any other store, sharded or single-file — with
-:func:`merge_stores` as the symmetric module-level helper (it also
-merges *into* a single-file store, which is how a sweep's shards are
-collapsed for archival).
-
-On-disk layout::
-
-    <dir>/
-        shards.json        # {"layout": "fingerprint-prefix-v1", "shards": N}
-        shard-0000.sqlite
-        shard-0001.sqlite
-        ...
-
-The default location is ``$REPRO_CACHE_DIR/runstore-shards`` when that
-variable is set (next to the single-file default), else
-``$XDG_CACHE_HOME/repro/runstore-shards``, else
-``~/.cache/repro/runstore-shards``.
+:class:`RunStore` serves both layouts (one file, or a directory of N
+files; see :mod:`repro.store.runstore`).  The name stays because the
+end-to-end benchmark (``benchmarks/e2e``) imports it from here and
+wraps ``ShardedRunStore.get`` / ``put`` by looking them up in the
+class ``__dict__``.  It must be the class itself, not a subclass: a
+subclass has no ``get`` / ``put`` of its own in its ``__dict__``.
 """
 
-from __future__ import annotations
+from repro.store.runstore import RunStore
 
-import json
-import os
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+__all__ = ["ShardedRunStore"]
 
-from repro import telemetry as _telemetry
-from repro.exceptions import ConfigurationError
-from repro.simulation.results import SimulationResult
-from repro.store.runstore import (
-    RunStore,
-    ShardStats,
-    StoreStats,
-    default_store_path,
-)
-
-__all__ = [
-    "ShardedRunStore",
-    "merge_stores",
-    "shard_index",
-    "default_sharded_store_path",
-    "SHARD_LAYOUT",
-    "MANIFEST_NAME",
-    "DEFAULT_SHARDS",
-    "MAX_SHARDS",
-]
-
-PathLike = Union[str, Path]
-
-#: Routing-layout identifier written to the manifest.  Bump if the
-#: fingerprint→shard function ever changes; a mismatched layout is
-#: refused instead of silently routing reads to the wrong shard.
-SHARD_LAYOUT = "fingerprint-prefix-v1"
-
-#: Manifest file pinning the store geometry inside the shard directory.
-MANIFEST_NAME = "shards.json"
-
-#: Shard count used when creating a store without an explicit count.
-DEFAULT_SHARDS = 8
-
-#: Upper bound on the shard count — far past any useful fan-out, it
-#: only guards against typos creating 10^6 database files.
-MAX_SHARDS = 4096
-
-
-def default_sharded_store_path() -> Path:
-    """Default on-disk directory of the sharded store.
-
-    Lives next to :func:`~repro.store.runstore.default_store_path`
-    (``runstore.sqlite`` → ``runstore-shards/``), honoring the same
-    ``REPRO_CACHE_DIR`` / ``XDG_CACHE_HOME`` overrides.
-    """
-    return default_store_path().parent / "runstore-shards"
-
-
-def shard_index(fingerprint: str, n_shards: int) -> int:
-    """Route a fingerprint to its shard: ``int(fp[:8], 16) % n_shards``.
-
-    The fingerprint is a SHA-256 hex digest, so its leading 32 bits are
-    uniformly distributed and the modulo spreads entries evenly across
-    any shard count.  Deterministic and coordination-free: every
-    process, on every host, routes identically.
-    """
-    return int(fingerprint[:8], 16) % n_shards
-
-
-def _shard_filename(index: int) -> str:
-    return f"shard-{index:04d}.sqlite"
-
-
-def _validate_shards(shards: int) -> int:
-    if not isinstance(shards, int) or isinstance(shards, bool):
-        raise ConfigurationError(
-            f"shards must be an integer >= 1, got {shards!r} "
-            f"({type(shards).__name__})"
-        )
-    if not 1 <= shards <= MAX_SHARDS:
-        raise ConfigurationError(
-            f"shards must be between 1 and {MAX_SHARDS}, got {shards}"
-        )
-    return shards
-
-
-class ShardedRunStore:
-    """Content-addressed run store partitioned across N SQLite shards.
-
-    Drop-in for :class:`~repro.store.runstore.RunStore` everywhere a
-    ``cache=`` argument is accepted (``repro.run()``,
-    ``execute_batch``, the CLI's ``--store-shards``, the service's
-    ``--store-shards``); replays are bit-identical because routing
-    never touches payloads.
-
-    ``shards`` may be omitted when opening an existing store (the
-    manifest pins the geometry); when both are present they must
-    agree.  Shard connections open lazily — a reader or writer that
-    touches one shard opens one file.
-    """
-
-    #: Batch workers may write their own shards directly: distinct
-    #: shards never contend, and same-shard writers are serialized by
-    #: the WAL busy-timeout + bounded retry in :class:`RunStore`.
-    concurrent_writers = True
-
-    def __init__(
-        self,
-        path: Optional[PathLike] = None,
-        *,
-        shards: Optional[int] = None,
-    ) -> None:
-        self._path = (
-            Path(path) if path is not None else default_sharded_store_path()
-        )
-        manifest = self._read_manifest()
-        if manifest is not None:
-            if shards is not None and shards != manifest:
-                raise ConfigurationError(
-                    f"store at {self._path} is laid out as {manifest} shards; "
-                    f"cannot reopen it with shards={shards} (merge into a "
-                    f"fresh store to change the geometry)"
-                )
-            self._shards = manifest
-        else:
-            self._shards = _validate_shards(
-                shards if shards is not None else DEFAULT_SHARDS
-            )
-        self._stores: Dict[int, RunStore] = {}
-
-    # -- geometry ------------------------------------------------------
-
-    @property
-    def path(self) -> Path:
-        """The shard directory."""
-        return self._path
-
-    @property
-    def shards(self) -> int:
-        """Number of shards the store is partitioned into."""
-        return self._shards
-
-    def _manifest_path(self) -> Path:
-        return self._path / MANIFEST_NAME
-
-    def _read_manifest(self) -> Optional[int]:
-        manifest_path = self._manifest_path()
-        try:
-            text = manifest_path.read_text()
-        except (FileNotFoundError, NotADirectoryError):
-            text = None
-        if text is None:
-            if self._path.exists() and any(
-                p.name.startswith("shard-") for p in self._path.iterdir()
-            ):
-                # prepare() always lands the manifest *before* any shard
-                # file is written, so seeing shard files here means a
-                # concurrent writer's manifest arrived between our two
-                # checks — re-read before refusing the directory.
-                try:
-                    text = manifest_path.read_text()
-                except (FileNotFoundError, NotADirectoryError):
-                    raise ConfigurationError(
-                        f"{self._path} contains shard files but no "
-                        f"{MANIFEST_NAME} manifest; refusing to guess the "
-                        f"geometry"
-                    ) from None
-            else:
-                return None
-        try:
-            manifest = json.loads(text)
-            layout = manifest["layout"]
-            count = manifest["shards"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigurationError(
-                f"unreadable shard manifest {manifest_path}: {exc}"
-            ) from exc
-        if layout != SHARD_LAYOUT:
-            raise ConfigurationError(
-                f"store at {self._path} uses unknown shard layout "
-                f"{layout!r} (this build understands {SHARD_LAYOUT!r})"
-            )
-        return _validate_shards(count)
-
-    def prepare(self) -> "ShardedRunStore":
-        """Create the directory and manifest (idempotent, race-safe).
-
-        Writers call this before fanning out so every worker process
-        finds a pinned geometry; an atomic rename makes concurrent
-        creation by several processes converge on one manifest.
-        """
-        manifest_path = self._manifest_path()
-        if manifest_path.exists():
-            return self
-        self._path.mkdir(parents=True, exist_ok=True)
-        tmp = manifest_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(
-                {"layout": SHARD_LAYOUT, "shards": self._shards}, indent=2
-            )
-            + "\n"
-        )
-        try:
-            os.replace(tmp, manifest_path)
-        finally:
-            if tmp.exists():  # pragma: no cover - lost the rename race
-                tmp.unlink()
-        return self
-
-    def shard_for(self, fingerprint: str) -> RunStore:
-        """The (lazily opened) :class:`RunStore` owning a fingerprint."""
-        index = shard_index(fingerprint, self._shards)
-        _telemetry.incr("store.shard_routes")
-        return self._shard(index)
-
-    def _shard(self, index: int) -> RunStore:
-        store = self._stores.get(index)
-        if store is None:
-            store = RunStore(self._path / _shard_filename(index))
-            self._stores[index] = store
-        return store
-
-    def _shard_paths(self) -> List[Tuple[int, Path]]:
-        return [
-            (index, self._path / _shard_filename(index))
-            for index in range(self._shards)
-        ]
-
-    def _existing_shards(self) -> Iterator[Tuple[int, RunStore]]:
-        """Open only the shards whose files exist (reads create none)."""
-        for index, path in self._shard_paths():
-            if path.exists():
-                yield index, self._shard(index)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        """Release every open shard connection."""
-        for store in self._stores.values():
-            store.close()
-
-    def __enter__(self) -> "ShardedRunStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- core API (mirrors RunStore) -----------------------------------
-
-    def put(
-        self,
-        fingerprint: str,
-        result: SimulationResult,
-        **metadata,
-    ) -> bool:
-        """Insert one run into its shard (immutable, like the base put)."""
-        self.prepare()
-        return self.shard_for(fingerprint).put(fingerprint, result, **metadata)
-
-    def get(self, fingerprint: str) -> Optional[SimulationResult]:
-        """Fetch a run from its shard (``None`` on miss)."""
-        return self.shard_for(fingerprint).get(fingerprint)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self.shard_for(fingerprint)
-
-    def __len__(self) -> int:
-        return sum(len(store) for _, store in self._existing_shards())
-
-    def fingerprints(self) -> List[str]:
-        """All stored fingerprints across every shard, sorted."""
-        merged: List[str] = []
-        for _, store in self._existing_shards():
-            merged.extend(store.fingerprints())
-        return sorted(merged)
-
-    def iter_rows(self) -> Iterator[dict]:
-        """Every raw row across every shard, in fingerprint order
-        within each shard (shard-major order overall)."""
-        for _, store in self._existing_shards():
-            for row in store.iter_rows():
-                yield row
-
-    def put_row(self, row: dict) -> bool:
-        """Insert one raw row into its shard (merge substrate)."""
-        self.prepare()
-        return self.shard_for(row["fingerprint"]).put_row(row)
-
-    # -- maintenance ---------------------------------------------------
-
-    def stats(self) -> StoreStats:
-        """Aggregate counts plus the per-shard breakdown."""
-        entries = 0
-        payload_bytes = 0
-        db_bytes = 0
-        by_scenario: Dict[str, int] = {}
-        shard_stats: List[ShardStats] = []
-        for index, path in self._shard_paths():
-            if not path.exists():
-                shard_stats.append(
-                    ShardStats(
-                        shard=_shard_filename(index),
-                        entries=0,
-                        payload_bytes=0,
-                        db_bytes=0,
-                    )
-                )
-                continue
-            stats = self._shard(index).stats()
-            entries += stats.entries
-            payload_bytes += stats.payload_bytes
-            db_bytes += stats.db_bytes
-            for name, count in stats.by_scenario:
-                by_scenario[name] = by_scenario.get(name, 0) + count
-            shard_stats.append(
-                ShardStats(
-                    shard=_shard_filename(index),
-                    entries=stats.entries,
-                    payload_bytes=stats.payload_bytes,
-                    db_bytes=stats.db_bytes,
-                )
-            )
-        return StoreStats(
-            path=str(self._path),
-            entries=entries,
-            payload_bytes=payload_bytes,
-            db_bytes=db_bytes,
-            by_scenario=tuple(sorted(by_scenario.items())),
-            shards=tuple(shard_stats),
-        )
-
-    def scenario_counts(self) -> Dict[str, int]:
-        """Stored-run count per scenario name, across all shards."""
-        return dict(self.stats().by_scenario)
-
-    def evict(
-        self,
-        fingerprints: Optional[Iterable[str]] = None,
-        *,
-        before: Optional[float] = None,
-    ) -> int:
-        """Delete selected entries; returns the number removed.
-
-        With explicit ``fingerprints``, each key is routed to its own
-        shard; the ``before`` filter (and no-filter eviction) touch
-        every existing shard.
-        """
-        if fingerprints is not None:
-            keys = list(fingerprints)
-            if not keys:
-                return 0
-            removed = 0
-            per_shard: Dict[int, List[str]] = {}
-            for key in keys:
-                per_shard.setdefault(
-                    shard_index(key, self._shards), []
-                ).append(key)
-            for index, shard_keys in sorted(per_shard.items()):
-                if (self._path / _shard_filename(index)).exists():
-                    removed += self._shard(index).evict(
-                        shard_keys, before=before
-                    )
-            return removed
-        return sum(
-            store.evict(before=before)
-            for _, store in self._existing_shards()
-        )
-
-    def clear(self) -> int:
-        """Evict every entry in every shard and compact the files."""
-        return sum(store.clear() for _, store in self._existing_shards())
-
-    def export(self, path: PathLike) -> Path:
-        """Write the merged metadata inventory (no payloads) as JSON.
-
-        Same document shape as :meth:`RunStore.export` plus the shard
-        geometry, with all entries merged and sorted by fingerprint.
-        """
-        entries: List[dict] = []
-        for _, store in self._existing_shards():
-            entries.extend(_export_entry(row) for row in store.iter_rows())
-        entries.sort(key=lambda entry: entry["fingerprint"])
-        out = Path(path)
-        out.write_text(
-            json.dumps(
-                {
-                    "store": str(self._path),
-                    "layout": SHARD_LAYOUT,
-                    "shards": self._shards,
-                    "entries": entries,
-                },
-                indent=2,
-            )
-        )
-        return out
-
-    # -- merge ---------------------------------------------------------
-
-    def merge_from(self, source: "StoreLike") -> int:
-        """Copy every run of ``source`` into this store's shards.
-
-        Row-level and payload-preserving (no decode/encode), immutable
-        on conflict — a fingerprint already present keeps its original
-        row.  Returns the number of rows actually written.
-        """
-        return merge_stores(source, self)
-
-
-#: Anything quacking like a run store: ``RunStore``, ``ShardedRunStore``.
-StoreLike = Union[RunStore, ShardedRunStore]
-
-
-def _export_entry(row: dict) -> dict:
-    """One raw row rendered in the export-inventory shape."""
-    return {
-        "fingerprint": row["fingerprint"],
-        "schema_version": row["schema_version"],
-        "name": row["name"],
-        "attack_enabled": bool(row["attack_enabled"]),
-        "defended": bool(row["defended"]),
-        "sensor_seed": row["sensor_seed"],
-        "horizon": row["horizon"],
-        "spec": json.loads(row["spec_json"]),
-        "summary": json.loads(row["summary_json"]),
-        "payload_bytes": row["payload_bytes"],
-        "created_at": row["created_at"],
-    }
-
-
-def merge_stores(source: StoreLike, dest: StoreLike) -> int:
-    """Copy every run of ``source`` into ``dest``; returns rows written.
-
-    Works across geometries — sharded → single-file collapses a
-    sweep's shards into one archive, single-file → sharded re-shards a
-    legacy store, sharded → sharded re-routes between shard counts.
-    Transfers raw rows (payload blobs untouched), so a merged entry
-    replays bit-identically to its origin; fingerprints already in
-    ``dest`` are skipped (immutable-insert semantics).
-    """
-    written = 0
-    with _telemetry.span(
-        "store.merge",
-        source=str(getattr(source, "path", source)),
-        dest=str(getattr(dest, "path", dest)),
-    ) as span:
-        for row in source.iter_rows():
-            if dest.put_row(row):
-                written += 1
-            _telemetry.incr("store.merge_rows")
-        span.set(written=written)
-    _telemetry.incr("store.merges")
-    return written
+ShardedRunStore = RunStore

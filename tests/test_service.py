@@ -23,9 +23,9 @@ import repro
 from repro import telemetry
 from repro.cli import main
 from repro.exceptions import ConfigurationError
-from repro.service import ServiceApp, fetch_json
+from repro.service import ServiceApp, fetch_json, serve_async
 from repro.service.jobs import JobManager
-from repro.simulation.batch import RunRecord
+from repro.simulation.batch import RunRecord, RunSpec, execute_batch
 from repro.simulation.io import result_to_dict
 from repro.simulation.spec import scenario_from_dict, scenario_to_dict
 from repro.store import RunStore
@@ -424,6 +424,67 @@ class TestEndpointContract:
                 await stop_app(app)
 
         run_async(scenario())
+
+
+class TestProcessPool:
+    def test_first_misses_answer_through_forked_workers(self, tmp_path):
+        """Regression: the pool forks lazily on the first miss, while
+        that request's connection is open.  The worker inherited the
+        socket, so the server's close sent no FIN and an EOF-reading
+        client waited forever.  Responses now half-close."""
+
+        async def scenario():
+            app = await start_app(tmp_path, workers=1, executor="process")
+            try:
+                statuses = []
+                for horizon in (11.0, 12.0, 11.0):  # miss, miss, hit
+                    spec = scenario_to_dict(FAST.with_overrides(horizon=horizon))
+                    status, payload = await fetch_json(
+                        "127.0.0.1", app.port, "POST", "/v1/runs?wait=1",
+                        spec, timeout=10.0,
+                    )
+                    statuses.append((status, payload["cache_hit"]))
+                return statuses
+            finally:
+                await stop_app(app)
+
+        assert run_async(scenario()) == [(200, False), (200, False), (200, True)]
+
+
+class TestDirectoryStore:
+    def test_serve_autodetects_store_directory(self, tmp_path):
+        """Regression: ``serve --store DIR`` without ``--store-shards``
+        opened the directory as one SQLite file and failed every read."""
+        path = tmp_path / "shards"
+        with RunStore(path, shards=3) as store:
+            execute_batch([RunSpec(FAST)], cache=store)
+
+        async def scenario():
+            out = io.StringIO()
+            server = asyncio.ensure_future(
+                serve_async(
+                    "127.0.0.1", 0, store_path=str(path), executor="thread",
+                    out=out, err=io.StringIO(),
+                )
+            )
+            try:
+                while not out.getvalue():
+                    assert not server.done(), server.result()
+                    await asyncio.sleep(0.01)
+                port = int(out.getvalue().strip().rsplit(":", 1)[1])
+                _, hit = await fetch_json("127.0.0.1", port, "POST", "/v1/runs", SPEC)
+                _, stats = await fetch_json(
+                    "127.0.0.1", port, "GET", "/v1/store/stats"
+                )
+                return hit, stats
+            finally:
+                server.cancel()
+                await asyncio.gather(server, return_exceptions=True)
+
+        hit, stats = run_async(scenario())
+        assert hit["cache_hit"] is True
+        assert stats["shard_count"] == 3
+        assert stats["entries"] == 1
 
 
 class TestStoreStatsSerialization:

@@ -1,5 +1,6 @@
-"""Sharded run store (repro.store.sharded): routing, geometry, merge,
-and safe concurrent multi-process writers."""
+"""Directory run stores (``RunStore(path, shards=N)``): routing,
+geometry, merge between layouts, and safe concurrent multi-process
+writers.  The API contract every layout shares is in test_store.py."""
 
 import hashlib
 import io
@@ -10,21 +11,21 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import repro
+import repro.store.sharded
 from repro import fig2_scenario, telemetry
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.simulation import RunSpec, execute_batch
 from repro.store import (
-    DEFAULT_SHARDS,
+    MANIFEST_NAME,
+    SHARD_LAYOUT,
     CacheBinding,
     RunStore,
-    ShardedRunStore,
     default_sharded_store_path,
     merge_stores,
-    resolve_cache,
     shard_index,
 )
-from repro.store.sharded import MANIFEST_NAME, MAX_SHARDS, SHARD_LAYOUT
+from repro.store.runstore import MAX_SHARDS
 
 FAST = fig2_scenario("dos", horizon=20.0)
 
@@ -63,51 +64,25 @@ class TestShardIndex:
 
 
 class TestShardedRunStore:
-    def test_put_get_bit_identical(self, tmp_path, result):
-        with ShardedRunStore(tmp_path / "shards", shards=4) as store:
-            assert store.put(_fp(0), result) is True
-            loaded = store.get(_fp(0))
-        assert loaded.detection_events == result.detection_events
-        for name in result.traces:
-            assert loaded.traces[name].values == result.traces[name].values
-
     def test_put_touches_only_owner_shard(self, tmp_path, result):
         path = tmp_path / "shards"
-        with ShardedRunStore(path, shards=4) as store:
+        with RunStore(path, shards=4) as store:
             store.put(_fp(0), result)
         owner = shard_index(_fp(0), 4)
         files = sorted(p.name for p in path.iterdir())
         assert files == sorted([MANIFEST_NAME, f"shard-{owner:04d}.sqlite"])
 
-    def test_reads_do_not_create_files(self, tmp_path):
-        path = tmp_path / "nope"
-        with ShardedRunStore(path, shards=4) as store:
-            assert store.get(_fp(0)) is None
-            assert _fp(0) not in store
-            assert len(store) == 0
-            assert store.fingerprints() == []
-            assert store.stats().entries == 0
-            assert store.evict() == 0
-            assert store.clear() == 0
-        assert not path.exists()
-
     def test_fingerprints_sorted_across_shards(self, tmp_path, result):
         keys = [_fp(i) for i in range(12)]
-        with ShardedRunStore(tmp_path / "shards", shards=4) as store:
+        with RunStore(tmp_path / "shards", shards=4) as store:
             for key in keys:
                 store.put(key, result)
             assert len(store) == 12
             assert store.fingerprints() == sorted(keys)
             assert all(key in store for key in keys)
 
-    def test_put_is_immutable(self, tmp_path, result):
-        with ShardedRunStore(tmp_path / "shards", shards=2) as store:
-            assert store.put(_fp(0), result) is True
-            assert store.put(_fp(0), result) is False
-            assert len(store) == 1
-
     def test_stats_per_shard_breakdown(self, tmp_path, result):
-        with ShardedRunStore(tmp_path / "shards", shards=2) as store:
+        with RunStore(tmp_path / "shards", shards=2) as store:
             for i in range(6):
                 store.put(_fp(i), result)
             stats = store.stats()
@@ -128,7 +103,7 @@ class TestShardedRunStore:
         assert "shards" not in flat
 
     def test_stats_counts_missing_shards_as_empty(self, tmp_path, result):
-        with ShardedRunStore(tmp_path / "shards", shards=8) as store:
+        with RunStore(tmp_path / "shards", shards=8) as store:
             store.put(_fp(0), result)
             stats = store.stats()
         assert len(stats.shards) == 8
@@ -136,7 +111,7 @@ class TestShardedRunStore:
 
     def test_evict_routes_and_clear(self, tmp_path, result):
         keys = [_fp(i) for i in range(5)]
-        with ShardedRunStore(tmp_path / "shards", shards=4) as store:
+        with RunStore(tmp_path / "shards", shards=4) as store:
             for key in keys:
                 store.put(key, result)
             assert store.evict([keys[0]]) == 1
@@ -148,7 +123,7 @@ class TestShardedRunStore:
 
     def test_export_inventory(self, tmp_path, result):
         keys = [_fp(i) for i in range(4)]
-        with ShardedRunStore(tmp_path / "shards", shards=2) as store:
+        with RunStore(tmp_path / "shards", shards=2) as store:
             for key in keys:
                 store.put(key, result, sensor_seed=7)
             out = store.export(tmp_path / "inv.json")
@@ -167,54 +142,46 @@ class TestShardedRunStore:
             == tmp_path / "cachedir" / "runstore-shards"
         )
 
-    def test_resolve_cache_accepts_sharded(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "shards", shards=2)
-        binding = resolve_cache(store)
-        assert binding.store is store
-        assert binding.mode == "readwrite"
-        assert not binding.owns_store
-
-    def test_concurrent_writers_flag(self, tmp_path):
-        assert ShardedRunStore(tmp_path / "s", shards=2).concurrent_writers
-        assert not RunStore(tmp_path / "f.sqlite").concurrent_writers
+    def test_sharded_name_is_the_run_store_class(self):
+        assert repro.store.sharded.ShardedRunStore is RunStore
 
 
 class TestManifest:
     def test_written_on_first_put(self, tmp_path, result):
         path = tmp_path / "shards"
-        with ShardedRunStore(path, shards=3) as store:
+        with RunStore(path, shards=3) as store:
             store.put(_fp(0), result)
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         assert manifest == {"layout": SHARD_LAYOUT, "shards": 3}
 
     def test_reopen_autodetects_geometry(self, tmp_path, result):
         path = tmp_path / "shards"
-        with ShardedRunStore(path, shards=3) as store:
+        with RunStore(path, shards=3) as store:
             store.put(_fp(0), result)
-        with ShardedRunStore(path) as reopened:
+        with RunStore(path) as reopened:
             assert reopened.shards == 3
             assert reopened.get(_fp(0)) is not None
 
     def test_reopen_with_wrong_geometry_refused(self, tmp_path, result):
         path = tmp_path / "shards"
-        with ShardedRunStore(path, shards=3) as store:
+        with RunStore(path, shards=3) as store:
             store.put(_fp(0), result)
         with pytest.raises(ConfigurationError, match="laid out as 3 shards"):
-            ShardedRunStore(path, shards=4)
+            RunStore(path, shards=4)
 
     def test_shard_files_without_manifest_refused(self, tmp_path):
         path = tmp_path / "shards"
         path.mkdir()
         (path / "shard-0000.sqlite").touch()
         with pytest.raises(ConfigurationError, match="no shards.json"):
-            ShardedRunStore(path)
+            RunStore(path)
 
     def test_unreadable_manifest_refused(self, tmp_path):
         path = tmp_path / "shards"
         path.mkdir()
         (path / MANIFEST_NAME).write_text("not json")
         with pytest.raises(ConfigurationError, match="unreadable"):
-            ShardedRunStore(path)
+            RunStore(path)
 
     def test_unknown_layout_refused(self, tmp_path):
         path = tmp_path / "shards"
@@ -223,19 +190,36 @@ class TestManifest:
             json.dumps({"layout": "range-v9", "shards": 2})
         )
         with pytest.raises(ConfigurationError, match="unknown shard layout"):
-            ShardedRunStore(path)
+            RunStore(path)
 
     @pytest.mark.parametrize("bad", [0, -1, MAX_SHARDS + 1, True, "8", 2.0])
     def test_invalid_shard_counts(self, tmp_path, bad):
         with pytest.raises(ConfigurationError):
-            ShardedRunStore(tmp_path / "shards", shards=bad)
+            RunStore(tmp_path / "shards", shards=bad)
 
     def test_default_shard_count(self, tmp_path):
-        assert ShardedRunStore(tmp_path / "shards").shards == DEFAULT_SHARDS
+        # A fresh path is a directory store only with an explicit
+        # shards=; without it, it is a one-file store.
+        assert RunStore(tmp_path / "shards", shards=8).shards == 8
+        assert RunStore(tmp_path / "flat.sqlite").shards == 1
+
+    def test_single_file_refuses_shards(self, tmp_path, result):
+        path = tmp_path / "flat.sqlite"
+        with RunStore(path) as store:
+            store.put(_fp(0), result)
+        with pytest.raises(ConfigurationError, match="single file"):
+            RunStore(path, shards=2)
+
+    def test_bare_directory_needs_shards(self, tmp_path):
+        path = tmp_path / "empty"
+        path.mkdir()
+        with pytest.raises(ConfigurationError, match="shards="):
+            RunStore(path)
+        assert RunStore(path, shards=2).shards == 2
 
     def test_prepare_idempotent(self, tmp_path):
         path = tmp_path / "shards"
-        store = ShardedRunStore(path, shards=2)
+        store = RunStore(path, shards=2)
         store.prepare()
         before = (path / MANIFEST_NAME).read_text()
         store.prepare()
@@ -250,7 +234,7 @@ class TestMerge:
         }
 
     def test_sharded_to_single_is_byte_preserving(self, tmp_path, result):
-        with ShardedRunStore(tmp_path / "shards", shards=4) as source:
+        with RunStore(tmp_path / "shards", shards=4) as source:
             for i in range(6):
                 source.put(_fp(i), result)
             with RunStore(tmp_path / "flat.sqlite") as dest:
@@ -261,24 +245,24 @@ class TestMerge:
         with RunStore(tmp_path / "flat.sqlite") as source:
             for i in range(6):
                 source.put(_fp(i), result)
-            with ShardedRunStore(tmp_path / "shards", shards=3) as dest:
-                assert dest.merge_from(source) == 6
-                assert dest.fingerprints() == source.fingerprints()
+            with RunStore(tmp_path / "shards", shards=3) as dest:
+                assert merge_stores(source, dest) == 6
+                assert self._rows(dest) == self._rows(source)
                 loaded = dest.get(_fp(0))
         for name in result.traces:
             assert loaded.traces[name].values == result.traces[name].values
 
     def test_sharded_to_sharded_changes_geometry(self, tmp_path, result):
-        with ShardedRunStore(tmp_path / "a", shards=4) as source:
+        with RunStore(tmp_path / "a", shards=4) as source:
             for i in range(6):
                 source.put(_fp(i), result)
-            with ShardedRunStore(tmp_path / "b", shards=2) as dest:
+            with RunStore(tmp_path / "b", shards=2) as dest:
                 assert merge_stores(source, dest) == 6
                 assert dest.shards == 2
                 assert self._rows(dest) == self._rows(source)
 
     def test_merge_skips_existing(self, tmp_path, result):
-        with ShardedRunStore(tmp_path / "shards", shards=2) as source:
+        with RunStore(tmp_path / "shards", shards=2) as source:
             for i in range(3):
                 source.put(_fp(i), result)
             with RunStore(tmp_path / "flat.sqlite") as dest:
@@ -295,7 +279,7 @@ class TestMerge:
 def _write_runs(path, shards, start, count):
     """Worker: open the sharded store and write `count` runs."""
     result = repro.run(FAST)
-    with ShardedRunStore(path, shards=shards) as store:
+    with RunStore(path, shards=shards) as store:
         written = sum(
             bool(store.put(_fp(start + i), result)) for i in range(count)
         )
@@ -305,7 +289,7 @@ def _write_runs(path, shards, start, count):
 class TestMultiProcessWriters:
     def test_disjoint_writers_lose_nothing(self, tmp_path):
         path = str(tmp_path / "shards")
-        ShardedRunStore(path, shards=4).prepare()
+        RunStore(path, shards=4).prepare()
         with ProcessPoolExecutor(max_workers=4) as pool:
             futures = [
                 pool.submit(_write_runs, path, 4, worker * 100, 8)
@@ -313,7 +297,7 @@ class TestMultiProcessWriters:
             ]
             outcomes = [f.result() for f in futures]
         assert sum(written for _, written in outcomes) == 32
-        with ShardedRunStore(path) as store:
+        with RunStore(path) as store:
             assert len(store) == 32
             expected = sorted(
                 _fp(worker * 100 + i) for worker in range(4) for i in range(8)
@@ -330,7 +314,7 @@ class TestMultiProcessWriters:
             ]
             outcomes = [f.result() for f in futures]
         assert sum(written for _, written in outcomes) == 8
-        with ShardedRunStore(path) as store:
+        with RunStore(path) as store:
             assert len(store) == 8
             assert store.shards == 4
 
@@ -341,9 +325,20 @@ class TestBatchWorkerWrites:
             RunSpec(FAST.with_overrides(sensor_seed=seed)) for seed in range(n)
         ]
 
+    def test_worker_writes_chosen_by_shard_count(self, tmp_path):
+        """Pool workers write a store of several files themselves; a
+        one-file store takes every write in the parent."""
+        specs = self._specs(2)
+        for shards, worker_writes in ((1, 0), (3, 2)):
+            store = RunStore(tmp_path / f"s{shards}", shards=shards)
+            with store, telemetry.session() as tele:
+                execute_batch(specs, workers=2, cache=store, backend="scalar")
+                assert len(store) == 2
+            assert tele.counters.get("store.worker_writes", 0) == worker_writes
+
     def test_cold_then_warm_through_pool(self, tmp_path):
         specs = self._specs(4)
-        with ShardedRunStore(tmp_path / "shards", shards=4) as store:
+        with RunStore(tmp_path / "shards", shards=4) as store:
             with telemetry.session() as tele:
                 cold = execute_batch(specs, workers=2, cache=store)
             assert cold.cache_hits == 0
@@ -365,7 +360,7 @@ class TestBatchWorkerWrites:
 
     def test_readonly_sharded_binding_never_writes(self, tmp_path):
         specs = self._specs(2)
-        with ShardedRunStore(tmp_path / "shards", shards=2) as store:
+        with RunStore(tmp_path / "shards", shards=2) as store:
             readonly = CacheBinding(store, "readonly")
             miss = execute_batch(specs, workers=2, cache=readonly)
             assert miss.cache_hits == 0
@@ -375,7 +370,7 @@ class TestBatchWorkerWrites:
 class TestShardedCLI:
     def _populated(self, tmp_path, result, n=3, shards=2):
         path = tmp_path / "shards"
-        with ShardedRunStore(path, shards=shards) as store:
+        with RunStore(path, shards=shards) as store:
             for i in range(n):
                 store.put(_fp(i), result)
             expected = store.stats().as_dict()
@@ -432,9 +427,36 @@ class TestShardedCLI:
             out=out,
         )
         assert code == 0
-        with ShardedRunStore(dest) as merged:
+        with RunStore(dest) as merged:
             assert merged.shards == 4
             assert len(merged) == 3
+
+    def test_merge_file_into_existing_directory(self, tmp_path, result):
+        """Without --shards the destination directory is autodetected
+        from its manifest, and the rows arrive byte-identical."""
+        flat = tmp_path / "flat.sqlite"
+        with RunStore(flat) as store:
+            for i in range(4):
+                store.put(_fp(i), result)
+        path = tmp_path / "shards"
+        RunStore(path, shards=3).prepare()
+        out = io.StringIO()
+        code = main(["cache", "merge", str(flat), "--store", str(path)], out=out)
+        assert code == 0
+        assert "merged 4 runs" in out.getvalue()
+        with RunStore(flat) as source, RunStore(path) as merged:
+            assert merged.shards == 3
+            assert sorted(merged.iter_rows(), key=lambda r: r["fingerprint"]) == list(
+                source.iter_rows()
+            )
+
+    def test_bare_directory_reported_not_raised(self, tmp_path):
+        path = tmp_path / "empty"
+        path.mkdir()
+        err = io.StringIO()
+        code = main(["cache", "stats", "--store", str(path)], out=io.StringIO(), err=err)
+        assert code == 2
+        assert MANIFEST_NAME in err.getvalue()
 
     def test_export_sharded(self, tmp_path, result):
         path, _ = self._populated(tmp_path, result)
@@ -457,6 +479,6 @@ class TestShardedCLI:
             ["run-custom", str(spec_path), "--store-shards", "2"], out=out
         )
         assert code == 0
-        with ShardedRunStore(tmp_path / "runstore-shards") as store:
+        with RunStore(tmp_path / "runstore-shards") as store:
             assert store.shards == 2
             assert len(store) == 3  # baseline / attacked / defended

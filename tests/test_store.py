@@ -97,9 +97,24 @@ class TestFingerprint:
 
 
 class TestRunStore:
+    """The store API on a one-file store.
+
+    The subclasses below rerun every test on the directory layouts, so
+    each geometry answers the same API contract.
+    """
+
+    #: ``None``: one ``.sqlite`` file; ``N``: a directory of N files.
+    shards = None
+
+    def open(self, path):
+        """A store at ``path`` (a file stem) in this class's geometry."""
+        if self.shards is None:
+            return RunStore(path.with_suffix(".sqlite"))
+        return RunStore(path, shards=self.shards)
+
     def test_put_get_bit_identical(self, tmp_path):
         result = repro.run(FAST, defended=True)
-        with RunStore(tmp_path / "s.sqlite") as store:
+        with self.open(tmp_path / "s") as store:
             store.put("a" * 64, result, sensor_seed=FAST.sensor_seed)
             loaded = store.get("a" * 64)
         assert loaded.name == result.name
@@ -113,40 +128,42 @@ class TestRunStore:
             assert loaded.traces[name].values == result.traces[name].values
 
     def test_miss_returns_none(self, tmp_path):
-        with RunStore(tmp_path / "s.sqlite") as store:
+        with self.open(tmp_path / "s") as store:
             store.put("a" * 64, repro.run(FAST))
             assert store.get("b" * 64) is None
 
     def test_reads_do_not_create_file(self, tmp_path):
-        path = tmp_path / "nope" / "s.sqlite"
-        with RunStore(path) as store:
+        with self.open(tmp_path / "nope" / "s") as store:
             assert store.get("a" * 64) is None
             assert "a" * 64 not in store
             assert len(store) == 0
             assert store.fingerprints() == []
             assert store.stats().entries == 0
             assert store.evict() == 0
-        assert not path.exists()
+            assert store.clear() == 0
+        assert not (tmp_path / "nope").exists()
 
     def test_contains_len_fingerprints(self, tmp_path):
         result = repro.run(FAST)
-        with RunStore(tmp_path / "s.sqlite") as store:
+        with self.open(tmp_path / "s") as store:
             store.put("b" * 64, result)
             store.put("a" * 64, result)
+            store.put("c" * 64, result)
             assert "a" * 64 in store
-            assert "c" * 64 not in store
-            assert len(store) == 2
-            assert store.fingerprints() == ["a" * 64, "b" * 64]
+            assert "d" * 64 not in store
+            assert len(store) == 3
+            assert store.fingerprints() == ["a" * 64, "b" * 64, "c" * 64]
 
     def test_stats_and_scenario_counts(self, tmp_path):
         result = repro.run(FAST)
-        with RunStore(tmp_path / "s.sqlite") as store:
+        with self.open(tmp_path / "s") as store:
             store.put("a" * 64, result)
             store.put("b" * 64, result)
             stats = store.stats()
             assert stats.entries == 2
             assert stats.payload_bytes > 0
             assert stats.db_bytes > 0
+            assert stats.shard_count == store.shards
             assert dict(stats.by_scenario) == {result.name: 2}
             assert store.scenario_counts() == {result.name: 2}
             rows = stats.as_rows()
@@ -155,10 +172,11 @@ class TestRunStore:
 
     def test_evict_and_clear(self, tmp_path):
         result = repro.run(FAST)
-        with RunStore(tmp_path / "s.sqlite") as store:
+        with self.open(tmp_path / "s") as store:
             for key in ("a" * 64, "b" * 64, "c" * 64):
                 store.put(key, result)
             assert store.evict(["a" * 64]) == 1
+            assert store.evict(["a" * 64]) == 0  # already gone
             assert store.evict([]) == 0
             assert len(store) == 2
             assert store.clear() == 2
@@ -170,20 +188,13 @@ class TestRunStore:
         resetting ``created_at``.  Rows are immutable now."""
         result = repro.run(FAST, defended=True)
         other = repro.run(FAST, defended=False)
-        with RunStore(tmp_path / "s.sqlite") as store:
+        with self.open(tmp_path / "s") as store:
             assert store.put("a" * 64, result) is True
-            created = store._connect().execute(
-                "SELECT created_at FROM runs WHERE fingerprint = ?",
-                ("a" * 64,),
-            ).fetchone()[0]
+            (created,) = [row["created_at"] for row in store.iter_rows()]
             # Second put is a no-op, even with a different payload.
             assert store.put("a" * 64, other) is False
             assert len(store) == 1
-            row = store._connect().execute(
-                "SELECT created_at FROM runs WHERE fingerprint = ?",
-                ("a" * 64,),
-            ).fetchone()
-            assert row[0] == created
+            assert [row["created_at"] for row in store.iter_rows()] == [created]
 
             # Replay still serves the first write, bit-identical.
             loaded = store.get("a" * 64)
@@ -193,7 +204,8 @@ class TestRunStore:
 
     def test_export_inventory(self, tmp_path):
         result = repro.run(FAST)
-        with RunStore(tmp_path / "s.sqlite") as store:
+        with self.open(tmp_path / "s") as store:
+            store.put("b" * 64, result)
             store.put(
                 "a" * 64,
                 result,
@@ -203,8 +215,8 @@ class TestRunStore:
             )
             out = store.export(tmp_path / "inventory.json")
         data = json.loads(out.read_text())
-        (entry,) = data["entries"]
-        assert entry["fingerprint"] == "a" * 64
+        assert [e["fingerprint"] for e in data["entries"]] == ["a" * 64, "b" * 64]
+        entry = data["entries"][0]
         assert entry["schema_version"] == STORE_SCHEMA_VERSION
         assert entry["sensor_seed"] == 7
         assert entry["spec"] == {"name": FAST.name}
@@ -217,6 +229,15 @@ class TestRunStore:
         monkeypatch.delenv("REPRO_CACHE_DIR")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         assert default_store_path() == tmp_path / "xdg" / "repro" / "runstore.sqlite"
+
+
+class TestRunStoreOneFileDirectory(TestRunStore):
+    shards = 1
+
+
+class TestRunStoreThreeFileDirectory(TestRunStore):
+    # "a"*64, "b"*64 and "c"*64 route to three different files.
+    shards = 3
 
 
 class TestCacheBinding:

@@ -17,7 +17,7 @@ from repro.simulation import (
     SweepResult,
     run_sweep,
 )
-from repro.store import ShardedRunStore
+from repro.store import RunStore
 
 FAST = fig2_scenario("dos", horizon=20.0)
 
@@ -146,7 +146,7 @@ class TestAdaptiveSchedule:
 class TestCacheInterplay:
     def test_warm_sweep_is_pure_replay(self, tmp_path):
         kwargs = dict(metric="min_gap", schedule="fixed", min_runs=2, max_runs=3)
-        with ShardedRunStore(tmp_path / "shards", shards=4) as store:
+        with RunStore(tmp_path / "shards", shards=4) as store:
             cold = run_sweep(NOISE_CELLS, cache=store, **kwargs)
             assert len(store) == cold.executed_runs
             with telemetry.session() as tele:
@@ -158,7 +158,7 @@ class TestCacheInterplay:
     def test_cached_equals_uncached(self, tmp_path):
         kwargs = dict(metric="min_gap", schedule="fixed", min_runs=2, max_runs=3)
         plain = run_sweep(NOISE_CELLS, **kwargs)
-        with ShardedRunStore(tmp_path / "shards", shards=2) as store:
+        with RunStore(tmp_path / "shards", shards=2) as store:
             cached = run_sweep(NOISE_CELLS, cache=store, **kwargs)
         for cell in plain.cells:
             assert cached.cell(cell.key).outcomes == cell.outcomes
@@ -325,7 +325,7 @@ class TestSweepCLI:
             out=out,
         )
         assert code == 0
-        with ShardedRunStore(store_path) as store:
+        with RunStore(store_path) as store:
             assert store.shards == 2
             assert len(store) == 2
 
