@@ -15,10 +15,15 @@ window solver that caches those kernels across the sliding window
   compares equal with ``==``/``array_equal``, no tolerance — including
   across the non-uniform windows left by challenge-instant holes;
 * subset-search scaling at p = 2/4/6 sensors, including the historical
-  pre-batching ``solve_naive`` loop as a third column.
+  pre-batching ``solve_naive`` loop as a third column;
+* a full closed-loop ``repro.run`` of fig2b on ``secure_reconstruction``:
+  ms per run, the rollback snapshots the pipeline takes (one per clean
+  challenge) and the cost of one snapshot+restore pair, next to the
+  generic deep-copy snapshot it replaced.  Timing ``observe()`` alone
+  never sees that cost.
 
 The table is written to ``BENCH_defense_runtime.json`` at the repo
-root (committed, like ``BENCH_defense.json``).  Set
+root (committed, like ``BENCH_defense.json``) under a host header.  Set
 ``REPRO_BENCH_SMOKE`` to shrink the workloads and skip the timing
 floor (CI runs the smoke mode; the equivalence assertions always run).
 """
@@ -27,14 +32,16 @@ import gc
 import json
 import os
 import time
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from conftest import emit
-from repro import fig2_scenario
+from conftest import emit, host_header
+from repro import CarFollowingSimulation, fig2_scenario, run
 from repro.analysis import render_table
+from repro.core.predictor import MeasurementEstimator
 from repro.defense.estimator import SecureReconstructionEstimator
 from repro.defense.reconstruction import (
     IncrementalWindowSolver,
@@ -55,6 +62,9 @@ REPEATS = 1 if SMOKE else 5
 #: Sensor counts of the subset-search scaling sweep.
 SENSOR_COUNTS = (2, 4, 6)
 SCALING_STEPS = 20 if SMOKE else 120
+#: Full closed-loop runs timed / snapshot+restore pairs timed.
+RUN_REPEATS = 1 if SMOKE else 5
+SNAPSHOT_PAIRS = 50 if SMOKE else 2000
 MPH = 0.44704
 
 
@@ -218,6 +228,58 @@ def _scaling_row(p, s, steps):
     }
 
 
+def _snapshot_pair_us(estimator, snapshot, restore, pairs):
+    """Mean µs of one ``restore(snapshot())`` round trip."""
+    gc.collect()
+    start = time.perf_counter()
+    for _ in range(pairs):
+        restore(estimator, snapshot(estimator))
+    return (time.perf_counter() - start) / pairs * 1e6
+
+
+def _closed_loop_run():
+    """One full fig2b run on secure_reconstruction, end to end."""
+    delay = fig2_scenario("delay")
+    scenario = delay.with_overrides(
+        defense=replace(delay.defense, strategy="secure_reconstruction")
+    )
+    best = float("inf")
+    for _ in range(RUN_REPEATS):
+        gc.collect()
+        start = time.perf_counter()
+        result = run(scenario, backend="scalar")
+        best = min(best, time.perf_counter() - start)
+    # The pipeline snapshots at every clean challenge response and
+    # restores at every raising edge of the alarm.
+    snapshots = sum(not e.attack_detected for e in result.detection_events)
+    # Snapshot cost on the estimator's end-of-run state (full window,
+    # warm geometry and transition caches).
+    sim = CarFollowingSimulation(scenario)
+    sim.run()
+    estimator = sim.pipeline.estimator
+    explicit_us = _snapshot_pair_us(
+        estimator,
+        SecureReconstructionEstimator.snapshot,
+        SecureReconstructionEstimator.restore,
+        SNAPSHOT_PAIRS,
+    )
+    deepcopy_us = _snapshot_pair_us(
+        estimator,
+        MeasurementEstimator.snapshot,
+        MeasurementEstimator.restore,
+        SNAPSHOT_PAIRS,
+    )
+    return {
+        "scenario": "fig2b",
+        "strategy": "secure_reconstruction",
+        "ms_per_run": round(best * 1e3, 2),
+        "snapshots_per_run": snapshots,
+        "restores_per_run": len(result.detection_times),
+        "snapshot_restore_us": round(explicit_us, 2),
+        "deepcopy_snapshot_restore_us": round(deepcopy_us, 2),
+    }
+
+
 def bench_defense_runtime(benchmark):
     scenario = fig2_scenario("dos")
 
@@ -242,11 +304,15 @@ def bench_defense_runtime(benchmark):
             _scaling_row(p, max(1, p // 3), SCALING_STEPS)
             for p in SENSOR_COUNTS
         ]
-        return t_scratch, t_inc, stats, rows
+        return t_scratch, t_inc, stats, rows, _closed_loop_run()
 
-    t_scratch, t_inc, stats, scaling = benchmark.pedantic(
+    t_scratch, t_inc, stats, scaling, full_run = benchmark.pedantic(
         build, rounds=1, iterations=1
     )
+    # fig2b: detection at the k = 182 challenge, one rollback, and a
+    # snapshot at every clean challenge before it.
+    assert full_run["restores_per_run"] == 1, full_run
+    assert full_run["snapshots_per_run"] >= 1, full_run
 
     # Uniform windows hit the geometry cache on (almost) every step:
     # one miss to seed, window-1 extensions while the window grows.
@@ -266,7 +332,7 @@ def bench_defense_runtime(benchmark):
             assert row["speedup"] > 1.0, row
 
     record = {
-        "smoke": SMOKE,
+        "host": host_header("bench_defense_runtime", SMOKE),
         "closed_loop": {
             "scenario": "fig2a",
             "steps": N_STEPS,
@@ -279,6 +345,7 @@ def bench_defense_runtime(benchmark):
             "bit_identical": True,
             "search_stats": stats,
         },
+        "closed_loop_run": full_run,
         "subset_scaling": scaling,
     }
     if not SMOKE:  # the committed JSON records the full workload
@@ -306,5 +373,11 @@ def bench_defense_runtime(benchmark):
         + render_table(
             scaling,
             title="Subset-search scaling (synthetic n=4 plant, window 8)",
+        )
+        + "\n\n"
+        + render_table(
+            [full_run],
+            title="Full closed-loop run: fig2b, secure_reconstruction "
+            "(rollback snapshots: explicit vs deep copy)",
         ),
     )

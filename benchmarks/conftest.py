@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import os
+import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,29 @@ from repro import run
 from repro.analysis import ascii_plot, render_table
 
 OUTPUT_DIR = Path(__file__).parent / "output"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def host_header(bench: str, smoke: bool) -> dict:
+    """The header of a committed ``BENCH_*.json``: what ran, and where."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+        )
+        git_sha = done.stdout.strip() or "unknown"
+    except OSError:  # no git on this host
+        git_sha = "unknown"
+    return {
+        "bench": bench,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": git_sha,
+        "smoke": smoke,
+    }
 
 
 def bench_workers() -> int:

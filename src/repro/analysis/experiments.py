@@ -323,8 +323,9 @@ REGISTRY: Tuple[Experiment, ...] = (
         "the estimator in incremental vs from_scratch solver modes; "
         "asserts bit-identical candidates (incl. challenge-hole windows) "
         "and >=5x per-step speedup from the cached geometry kernels, plus "
-        "a subset-search scaling table at p = 2/4/6 sensors; writes "
-        "BENCH_defense_runtime.json",
+        "a subset-search scaling table at p = 2/4/6 sensors and a full "
+        "fig2b secure_reconstruction run (ms/run, snapshots taken, us per "
+        "snapshot+restore); writes BENCH_defense_runtime.json",
         bench="bench_defense_runtime.py",
         modules=("defense.reconstruction", "defense.estimator", "telemetry"),
         kind="extension",

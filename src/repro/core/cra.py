@@ -11,7 +11,8 @@ experiments, by an explicit list of instants (k = 15, 50, 175, 182, …).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from bisect import bisect_left
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["PRBSGenerator", "ChallengeSchedule"]
 
@@ -90,9 +91,11 @@ class ChallengeSchedule:
     """
 
     def __init__(self, times: Iterable[float]):
-        self._times: FrozenSet[float] = frozenset(float(t) for t in times)
-        if any(t < 0.0 for t in self._times):
+        unique = frozenset(float(t) for t in times)
+        # ``not t >= 0`` also rejects NaN, which cannot be sorted.
+        if any(not t >= 0.0 for t in unique):
             raise ValueError("challenge times must be non-negative")
+        self._times: Tuple[float, ...] = tuple(sorted(unique))
 
     @classmethod
     def from_times(cls, times: Iterable[float]) -> "ChallengeSchedule":
@@ -144,17 +147,27 @@ class ChallengeSchedule:
         return cls(times)
 
     def is_challenge(self, time: float, tolerance: float = 1e-9) -> bool:
-        """True when ``time`` is a challenge instant."""
-        if time in self._times:
+        """True when ``time`` is a challenge instant.
+
+        Only the two instants either side of ``time`` need checking:
+        floating-point subtraction is monotone, so ``|time - t|`` only
+        grows moving away from ``time`` on either side.
+        """
+        times = self._times
+        i = bisect_left(times, time)
+        if i < len(times) and times[i] == time:
             return True
         if tolerance > 0.0:
-            return any(abs(time - t) <= tolerance for t in self._times)
+            # bisect_left puts times[i - 1] < time < times[i].
+            return (i < len(times) and times[i] - time <= tolerance) or (
+                i > 0 and time - times[i - 1] <= tolerance
+            )
         return False
 
     @property
     def times(self) -> Sequence[float]:
         """Challenge instants, sorted ascending."""
-        return tuple(sorted(self._times))
+        return self._times
 
     def __len__(self) -> int:
         return len(self._times)
@@ -168,5 +181,7 @@ class ChallengeSchedule:
         This is the soonest an attack starting at ``time`` can be
         detected — the structural bound on detection latency.
         """
-        later = [t for t in self._times if t >= time]
-        return min(later) if later else None
+        times = self._times
+        i = bisect_left(times, time)
+        # A NaN ``time`` lands on index 0 but compares false there.
+        return times[i] if i < len(times) and times[i] >= time else None

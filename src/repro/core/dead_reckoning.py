@@ -25,7 +25,6 @@ quality, not on the follower's state.
 
 from __future__ import annotations
 
-import copy
 from typing import List, Optional, Tuple
 
 from repro.core.predictor import ChannelPredictor, Forecaster, MeasurementEstimator
@@ -171,7 +170,7 @@ class DeadReckoningEstimator(MeasurementEstimator):
     def snapshot(self) -> object:
         """Capture the estimator state; starts a fresh quarantine log."""
         state = (
-            copy.deepcopy(self.leader_velocity_predictor),
+            self.leader_velocity_predictor.snapshot(),
             self._anchor,
             self._last_trusted_time,
         )
@@ -198,7 +197,7 @@ class DeadReckoningEstimator(MeasurementEstimator):
         the safety margin covers.
         """
         predictor, anchor, last_trusted = snapshot  # type: ignore[misc]
-        self.leader_velocity_predictor = copy.deepcopy(predictor)
+        self.leader_velocity_predictor.restore(predictor)
         self._anchor = anchor
         self._last_trusted_time = last_trusted
         if self._anchor is None:

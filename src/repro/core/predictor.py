@@ -55,6 +55,14 @@ class Forecaster(ABC):
     def trained(self) -> bool:
         """True once enough samples have been observed to forecast."""
 
+    def snapshot(self) -> object:
+        """Capture the forecaster state (default: deep copy, O(state))."""
+        return copy.deepcopy(self.__dict__)
+
+    def restore(self, snapshot: object) -> None:
+        """Roll back to a state captured by :meth:`snapshot`."""
+        self.__dict__ = copy.deepcopy(snapshot)  # type: ignore[assignment]
+
 
 class ChannelPredictor(Forecaster):
     """RLS forecaster for one scalar sensor channel.
@@ -266,6 +274,30 @@ class ChannelPredictor(Forecaster):
             scale = float(h @ P @ h)
         return float(np.sqrt(max(0.0, self._residual_variance * max(scale, 1.0))))
 
+    def snapshot(self) -> object:
+        """Copy of the per-run state; the basis and settings are shared.
+
+        The RLS weights and ``P``, copies of the history and rollout
+        lists, the reference time and the residual variance.
+        Subclasses that add mutable state must extend both methods.
+        """
+        return (
+            self.rls.snapshot(),
+            list(self._history),
+            list(self._rollout),
+            self._reference_time,
+            self._residual_variance,
+        )
+
+    def restore(self, snapshot: object) -> None:
+        """Roll back to a state captured by :meth:`snapshot`."""
+        rls, history, rollout, reference_time, residual_variance = snapshot  # type: ignore[misc]
+        self.rls.restore(rls)
+        self._history = list(history)
+        self._rollout = list(rollout)
+        self._reference_time = reference_time
+        self._residual_variance = residual_variance
+
 
 class MeasurementEstimator(ABC):
     """Interface of the estimator block of Figure 1.
@@ -281,6 +313,12 @@ class MeasurementEstimator(ABC):
     at every *clean* challenge response and, when an attack is detected,
     rolls back to the last authenticated state (samples between the last
     clean challenge and the detection may already be corrupted).
+
+    The snapshot contract: a snapshot is independent of anything the
+    estimator does after it was taken or restored, and one snapshot may
+    be restored more than once.  The default deep-copies ``__dict__``,
+    which costs O(state) per call; the built-in estimators capture
+    their mutable state explicitly and share what never changes.
     """
 
     @property
@@ -353,3 +391,13 @@ class RadarChannelEstimator(MeasurementEstimator):
             self.distance_predictor.forecast(time),
             self.velocity_predictor.forecast(time),
         )
+
+    def snapshot(self) -> object:
+        """Both channel forecasters' snapshots."""
+        return self.distance_predictor.snapshot(), self.velocity_predictor.snapshot()
+
+    def restore(self, snapshot: object) -> None:
+        """Roll both channels back to a :meth:`snapshot`."""
+        distance, velocity = snapshot  # type: ignore[misc]
+        self.distance_predictor.restore(distance)
+        self.velocity_predictor.restore(velocity)

@@ -101,6 +101,17 @@ class RLSEstimator:
         self._P = self.delta * np.eye(self.n_params)
         self._updates = 0
 
+    def snapshot(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Copy of the mutable state ``(w, P, n_updates)``."""
+        return self._weights.copy(), self._P.copy(), self._updates
+
+    def restore(self, snapshot: Tuple[np.ndarray, np.ndarray, int]) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        weights, P, updates = snapshot
+        self._weights = weights.copy()
+        self._P = P.copy()
+        self._updates = updates
+
     @property
     def weights(self) -> np.ndarray:
         """Current weight estimate ``w_k`` (copy)."""

@@ -103,8 +103,8 @@ def follower_relative_system(
 
 
 def _transition_builder(dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact ``(A, B)`` for one interval — module-level so estimator
-    snapshots (deep copies) never capture a bound-method cycle."""
+    """Exact ``(A, B)`` for one interval — module-level so deep copies
+    of the estimator never capture a bound-method cycle."""
     A, B, _ = follower_relative_system(dt)
     return A, B
 
@@ -331,6 +331,57 @@ class SecureReconstructionEstimator(MeasurementEstimator):
             "transition_misses": self._transition_cache.misses,
             "transition_evictions": self._transition_cache.evictions,
         }
+
+    def snapshot(self) -> object:
+        """Copy of the per-run state (see "Rollback snapshots" in
+        ``docs/defenses.md``).
+
+        The window list is copied.  ``_state``/``_cov`` and
+        ``last_result`` are shared: they are replaced, never written in
+        place.  The solver and transition caches contribute shallow
+        copies of their entries plus their counters, so
+        :meth:`search_stats` after a rollback is what it would be had
+        the rolled-back samples never arrived.
+        """
+        return (
+            list(self._samples),
+            self._state,
+            self._cov,
+            self._last_speed,
+            self.last_result,
+            (
+                self.inconsistent_windows,
+                self.fallback_windows,
+                self.windows_solved,
+                self.subsets_searched,
+                self.subsets_pruned,
+            ),
+            self._solver.snapshot(),
+            self._transition_cache.snapshot(),
+        )
+
+    def restore(self, snapshot: object) -> None:
+        """Roll back to a state captured by :meth:`snapshot`."""
+        (
+            samples,
+            self._state,
+            self._cov,
+            self._last_speed,
+            self.last_result,
+            counters,
+            solver,
+            transitions,
+        ) = snapshot  # type: ignore[misc]
+        self._samples = list(samples)
+        (
+            self.inconsistent_windows,
+            self.fallback_windows,
+            self.windows_solved,
+            self.subsets_searched,
+            self.subsets_pruned,
+        ) = counters
+        self._solver.restore(solver)
+        self._transition_cache.restore(transitions)
 
     def _adopt(self, end_time: float, candidate) -> None:
         """Take a candidate's end-of-window state and its covariance."""

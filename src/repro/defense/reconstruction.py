@@ -294,6 +294,19 @@ class TransitionCache:
             self.evictions += 1
         return entry
 
+    def snapshot(self) -> Tuple:
+        """Entries in LRU order plus the counters, for :meth:`restore`.
+
+        Shallow: the ``(A, B)`` matrices are never written after they
+        are built, so the snapshot shares them.
+        """
+        return dict(self._entries), self.hits, self.misses, self.evictions
+
+    def restore(self, snapshot: Tuple) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        entries, self.hits, self.misses, self.evictions = snapshot
+        self._entries = dict(entries)
+
 
 # ----------------------------------------------------------------------
 # geometry kernels (everything that depends only on the dt-tuple)
@@ -686,6 +699,35 @@ class IncrementalWindowSolver:
             )
             self._guaranteed[s] = verdict
         return verdict
+
+    def snapshot(self) -> Tuple:
+        """Cache membership, LRU order and counters, for :meth:`restore`.
+
+        Shallow: a geometry's arrays are never written after the build,
+        and its lazily memoized ``kernels`` are deterministic and not
+        counted, so the snapshot shares the geometries themselves.
+        """
+        return (
+            dict(self._geometries),
+            dict(self._guaranteed),
+            self.geometry_hits,
+            self.geometry_misses,
+            self.geometry_extensions,
+            self.subsets_solved,
+        )
+
+    def restore(self, snapshot: Tuple) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        (
+            geometries,
+            guaranteed,
+            self.geometry_hits,
+            self.geometry_misses,
+            self.geometry_extensions,
+            self.subsets_solved,
+        ) = snapshot
+        self._geometries = dict(geometries)
+        self._guaranteed = dict(guaranteed)
 
     # -- solving --------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Challenge-response scheduling (repro.core.cra)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,6 +127,8 @@ class TestChallengeScheduleExplicit:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             ChallengeSchedule.from_times([-1.0])
+        with pytest.raises(ValueError):
+            ChallengeSchedule.from_times([3.0, math.nan])
 
     def test_next_challenge_bound(self):
         # The structural detection-latency bound the paper achieves.
@@ -132,6 +136,43 @@ class TestChallengeScheduleExplicit:
         assert schedule.next_challenge_at_or_after(180.0) == 182.0
         assert schedule.next_challenge_at_or_after(182.0) == 182.0
         assert schedule.next_challenge_at_or_after(183.0) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        times=st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=40
+        ),
+        tolerance=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5, 10.0]),
+        pick=st.integers(min_value=0),
+        other=st.floats(allow_nan=False),
+    )
+    def test_property_bisect_lookup_matches_linear_scan(
+        self, times, tolerance, pick, other
+    ):
+        schedule = ChallengeSchedule.from_times(times)
+
+        def scan_is_challenge(time):
+            if time in set(times):
+                return True
+            if tolerance > 0.0:
+                return any(abs(time - t) <= tolerance for t in times)
+            return False
+
+        def scan_next(time):
+            later = [t for t in times if t >= time]
+            return min(later) if later else None
+
+        anchor = times[pick % len(times)] if times else 0.0
+        probes = [other, math.nan, math.inf]
+        for base in (anchor, anchor + tolerance, anchor - tolerance):
+            probes += [
+                base,
+                math.nextafter(base, math.inf),
+                math.nextafter(base, -math.inf),
+            ]
+        for time in probes:
+            assert schedule.is_challenge(time, tolerance) == scan_is_challenge(time)
+            assert schedule.next_challenge_at_or_after(time) == scan_next(time)
 
 
 class TestChallengeScheduleRandom:
