@@ -15,10 +15,9 @@ positives.
 """
 
 from conftest import emit
-from repro import AttackWindow, DelayInjectionAttack, fig2_scenario
+from repro import AttackWindow, DelayInjectionAttack, fig2_scenario, run
 from repro.analysis import detection_confusion, detection_latency, render_table
 from repro.core import ChiSquareDetector
-from repro.simulation.runner import run_figure_scenario
 
 
 def _chi_square_detection(data):
@@ -45,7 +44,7 @@ def _stealthy_ramp_data():
     scenario = fig2_scenario("delay").with_overrides(
         name="fig2b-stealth-ramp", attack=attack
     )
-    return run_figure_scenario(scenario)
+    return run(scenario, mode="figure")
 
 
 def bench_results_detection(benchmark, figure_data):

@@ -33,9 +33,7 @@ False
 
 :func:`repro.run` is the unified experiment facade (single runs,
 figure triples, Monte-Carlo sweeps, platoons) with a ``workers=``
-kwarg that fans independent runs out over a process pool; the
-historical entrypoints (``run_single``, ``run_figure_scenario``,
-``run_monte_carlo``) remain as thin aliases delegating to it.
+kwarg that fans independent runs out over a process pool.
 """
 
 from repro.core import (
@@ -123,15 +121,8 @@ from repro.simulation import (
     run_many,
 )
 
-# The unified facade and the historical entrypoints, which are thin
-# aliases delegating to it (see repro.facade).
-from repro.facade import (
-    run,
-    run_figure_scenario,
-    run_monte_carlo,
-    run_platoon,
-    run_single,
-)
+# The unified experiment facade (see repro.facade).
+from repro.facade import run
 
 # Content-addressed experiment store (persistent run memoization
 # behind the cache= knob of run()/execute_batch; see repro.store).
@@ -242,10 +233,6 @@ __all__ = [
     "fig3_scenario",
     "paper_challenge_times",
     "run",
-    "run_figure_scenario",
-    "run_single",
-    "run_monte_carlo",
-    "run_platoon",
     "MonteCarloSummary",
     "SeedOutcome",
     "PlatoonScenario",

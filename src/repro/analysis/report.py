@@ -86,8 +86,8 @@ def build_report(
         through to every panel triple and seed sweep; the report text
         is byte-identical across backends.
     """
+    from repro.facade import run
     from repro.simulation.monte_carlo import run_monte_carlo
-    from repro.simulation.runner import run_figure_scenario
 
     sections: List[str] = [
         "# Reproduction report",
@@ -106,8 +106,8 @@ def build_report(
     for identifier, _title in _PANELS:
         scenario = _panel_scenario(identifier)
         with _telemetry.span("report.panel", panel=identifier):
-            data = run_figure_scenario(
-                scenario, workers=workers, cache=cache, backend=backend
+            data = run(
+                scenario, mode="figure", workers=workers, cache=cache, backend=backend
             )
         confusion = detection_confusion(
             data.defended.detection_events, scenario.attack

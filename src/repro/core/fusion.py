@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.radar.sensor import FMCWRadarSensor
+from repro.simulation.engine import _POST_COLLISION_GAP_FLOOR
 from repro.simulation.results import SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.types import RadarMeasurement
@@ -157,7 +158,7 @@ def run_redundant_defense(
         true_gap = leader.position - follower.position
         if true_gap <= 0.0 and result.collision_time is None:
             result.collision_time = time
-        radar_gap = max(true_gap, 0.5)
+        radar_gap = max(true_gap, _POST_COLLISION_GAP_FLOOR)
         relative_velocity = leader.velocity - follower.velocity
 
         effect = (

@@ -1,10 +1,8 @@
 """Unified experiment facade: ``repro.run()``.
 
-Historically the library grew one runner per experiment shape —
-``run_single`` (one closed-loop run), ``run_figure_scenario`` (the
-baseline / attacked / defended triple a figure panel overlays),
-``run_monte_carlo`` (a seed sweep) and ``PlatoonSimulation`` (the
-N-follower chain).  :func:`run` puts them behind one entrypoint:
+One entrypoint for every experiment shape — one closed-loop run, the
+baseline / attacked / defended triple a figure panel overlays, a seed
+sweep, an adaptive sweep and the N-follower platoon chain:
 
 >>> import repro
 >>> result = repro.run(repro.fig2_scenario("dos"))                # single
@@ -46,23 +44,10 @@ advance in lock-step through :mod:`repro.simulation.vectorized`, with
 bit-identical results) or ``"auto"`` (vectorize what qualifies, scalar
 for the rest).  ``None`` reads the :envvar:`REPRO_BACKEND` environment
 variable, falling back to scalar.
-
-Deprecated aliases
-------------------
-The pre-existing names (``run_single``, ``run_figure_scenario``,
-``run_monte_carlo``, ``run_platoon``) remain as thin aliases that
-delegate here but are **deprecated** and emit ``DeprecationWarning``;
-migrate::
-
-    run_single(s, attack_enabled=a, defended=d)  →  run(s, attack_enabled=a, defended=d)
-    run_figure_scenario(s, workers=w)            →  run(s, mode="figure", workers=w)
-    run_monte_carlo(s, seeds, ...)               →  run(s, mode="monte_carlo", seeds=seeds, ...)
-    run_platoon(p, attack_enabled=a)             →  run(p, attack_enabled=a)
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
@@ -70,24 +55,16 @@ from repro import telemetry as _telemetry
 from repro.exceptions import ConfigurationError
 from repro.simulation import batch as _batch
 from repro.simulation import monte_carlo as _monte_carlo
-from repro.simulation import platoon as _platoon
-from repro.simulation import runner as _runner
 from repro.simulation import sweep as _sweep
+from repro.simulation.engine import CarFollowingSimulation
 from repro.simulation.knobs import resolve_backend, validate_workers
 from repro.simulation.monte_carlo import MonteCarloSummary
-from repro.simulation.platoon import PlatoonResult, PlatoonScenario
-from repro.simulation.results import SimulationResult
-from repro.simulation.runner import FigureData
+from repro.simulation.platoon import PlatoonResult, PlatoonScenario, PlatoonSimulation
+from repro.simulation.results import FigureData, SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.simulation.sweep import SweepCell, SweepResult
 
-__all__ = [
-    "run",
-    "run_single",
-    "run_figure_scenario",
-    "run_monte_carlo",
-    "run_platoon",
-]
+__all__ = ["run"]
 
 _MODES = ("single", "figure", "monte_carlo", "platoon", "sweep")
 
@@ -266,15 +243,35 @@ def run(
             # "auto" keeps a lone run on the scalar engine (a vector
             # group of one has no lock-step win), so the scalar path
             # handles both "scalar" and "auto".
-            return _runner.run_single(
+            return CarFollowingSimulation(
                 scenario, attack_enabled=attack_enabled, defended=defended
-            )
+            ).run()
         if mode == "figure":
-            return _runner.run_figure_scenario(
-                scenario,
+            # The triple shares the scenario's sensor seed so noise
+            # aligns across the overlay.  Its runs differ in their
+            # toggles, so "auto" keeps them scalar while "vectorized"
+            # runs each as its own group.
+            baseline, attacked, defended_run = _batch.run_many(
+                [
+                    _batch.RunSpec(
+                        scenario, attack_enabled=False, defended=False, tag="baseline"
+                    ),
+                    _batch.RunSpec(
+                        scenario, attack_enabled=True, defended=False, tag="attacked"
+                    ),
+                    _batch.RunSpec(
+                        scenario, attack_enabled=True, defended=True, tag="defended"
+                    ),
+                ],
                 workers=workers,
                 cache=cache if _cache_active(cache) else None,
                 backend=backend,
+            )
+            return FigureData(
+                scenario=scenario,
+                baseline=baseline,
+                attacked=attacked,
+                defended=defended_run,
             )
         if mode == "monte_carlo":
             if seeds is None:
@@ -315,80 +312,5 @@ def run(
                 backend=backend,
                 **options,
             )
-        return _platoon.run_platoon(scenario, attack_enabled=attack_enabled)
+        return PlatoonSimulation(scenario, attack_enabled=attack_enabled).run()
 
-
-def _warn_deprecated_alias(name: str, replacement: str) -> None:
-    """One ``DeprecationWarning`` per alias call, pointing at the caller."""
-    warnings.warn(
-        f"repro.{name}() is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_single(
-    scenario: Scenario, attack_enabled: bool = True, defended: bool = True
-) -> SimulationResult:
-    """Deprecated alias for ``run(scenario, ...)`` (original API).
-
-    .. deprecated:: 1.1
-       Use ``repro.run(scenario, attack_enabled=..., defended=...)``.
-    """
-    _warn_deprecated_alias("run_single", "repro.run(scenario, ...)")
-    return run(
-        scenario, mode="single", attack_enabled=attack_enabled, defended=defended
-    )
-
-
-def run_figure_scenario(
-    scenario: Scenario, *, workers: int = 1, cache: Any = "off"
-) -> FigureData:
-    """Deprecated alias for ``run(scenario, mode='figure', ...)``.
-
-    .. deprecated:: 1.1
-       Use ``repro.run(scenario, mode="figure", ...)``.
-    """
-    _warn_deprecated_alias(
-        "run_figure_scenario", 'repro.run(scenario, mode="figure", ...)'
-    )
-    return run(scenario, mode="figure", workers=workers, cache=cache)
-
-
-def run_monte_carlo(
-    scenario: Scenario,
-    seeds: Sequence[int],
-    attack_enabled: bool = True,
-    defended: bool = True,
-    workers: int = 1,
-    cache: Any = "off",
-) -> MonteCarloSummary:
-    """Deprecated alias for ``run(scenario, mode='monte_carlo', ...)``.
-
-    .. deprecated:: 1.1
-       Use ``repro.run(scenario, mode="monte_carlo", seeds=...)``.
-    """
-    _warn_deprecated_alias(
-        "run_monte_carlo", 'repro.run(scenario, mode="monte_carlo", seeds=...)'
-    )
-    return run(
-        scenario,
-        mode="monte_carlo",
-        seeds=seeds,
-        attack_enabled=attack_enabled,
-        defended=defended,
-        workers=workers,
-        cache=cache,
-    )
-
-
-def run_platoon(
-    scenario: PlatoonScenario, attack_enabled: bool = True
-) -> PlatoonResult:
-    """Deprecated alias for ``run(scenario, mode='platoon', ...)``.
-
-    .. deprecated:: 1.1
-       Use ``repro.run(scenario, ...)`` (platoon mode is auto-selected).
-    """
-    _warn_deprecated_alias("run_platoon", "repro.run(scenario, ...)")
-    return run(scenario, mode="platoon", attack_enabled=attack_enabled)

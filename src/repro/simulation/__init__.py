@@ -5,9 +5,9 @@
   configuration), with factories for the paper's Figure 2/3 scenarios.
 * :mod:`repro.simulation.engine` — the step loop that wires leader,
   follower, radar, attack, defense pipeline and ACC together.
-* :mod:`repro.simulation.results` — trace containers and summaries.
-* :mod:`repro.simulation.runner` — convenience drivers that run the
-  (baseline / attacked / defended) triple each figure plots.
+* :mod:`repro.simulation.results` — trace containers and summaries,
+  including the (baseline / attacked / defended) triple each figure
+  plots.
 * :mod:`repro.simulation.batch` — parallel batch execution of
   independent runs (the substrate behind every ``workers=`` kwarg).
 * :mod:`repro.simulation.vectorized` — the lock-step batch engine
@@ -28,13 +28,11 @@ from repro.simulation.scenario import (
     fig3_scenario,
 )
 from repro.simulation.engine import CarFollowingSimulation
-from repro.simulation.results import SimulationResult, ResultSummary
-from repro.simulation.runner import FigureData, run_figure_scenario, run_single
+from repro.simulation.results import FigureData, SimulationResult, ResultSummary
 from repro.simulation.platoon import (
     PlatoonScenario,
     PlatoonResult,
     PlatoonSimulation,
-    run_platoon,
 )
 from repro.simulation.batch import (
     BatchResult,
@@ -88,12 +86,9 @@ __all__ = [
     "SimulationResult",
     "ResultSummary",
     "FigureData",
-    "run_figure_scenario",
-    "run_single",
     "PlatoonScenario",
     "PlatoonResult",
     "PlatoonSimulation",
-    "run_platoon",
     "RunSpec",
     "RunRecord",
     "BatchResult",

@@ -27,7 +27,7 @@ from repro.exceptions import ConfigurationError
 from repro.radar.params import FMCWParameters
 from repro.radar.sensor import FMCWRadarSensor
 from repro.radar.tracker import AlphaBetaTracker
-from repro.simulation.engine import build_defense_pipeline
+from repro.simulation.engine import _POST_COLLISION_GAP_FLOOR, build_defense_pipeline
 from repro.simulation.scenario import DefenseConfig, Scenario, paper_challenge_times
 from repro.types import DetectionEvent, TimeSeries
 from repro.units import mph_to_mps
@@ -37,10 +37,7 @@ from repro.vehicle.leader import LeaderProfile
 from repro.vehicle.params import ACCParameters
 from repro.vehicle.state import VehicleState
 
-__all__ = ["PlatoonScenario", "PlatoonResult", "PlatoonSimulation", "run_platoon"]
-
-#: Radar-visible gap floor after a collision (matches the engine).
-_POST_COLLISION_GAP_FLOOR = 0.5
+__all__ = ["PlatoonScenario", "PlatoonResult", "PlatoonSimulation"]
 
 
 @dataclass(frozen=True)
@@ -164,19 +161,6 @@ class PlatoonResult:
         return [
             self.gap_deviation(i, reference) for i in range(self.n_followers)
         ]
-
-
-def run_platoon(
-    scenario: PlatoonScenario, attack_enabled: bool = True
-) -> "PlatoonResult":
-    """Run one platoon configuration (mirrors ``run_single``).
-
-    Defense is configured per-follower on the scenario
-    (``defended_followers``); independent platoon runs can be fanned
-    out together via :mod:`repro.simulation.batch` or the
-    :func:`repro.run` facade.
-    """
-    return PlatoonSimulation(scenario, attack_enabled=attack_enabled).run()
 
 
 class PlatoonSimulation:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.types import DetectionEvent, TimeSeries
 
-__all__ = ["SimulationResult", "ResultSummary", "TRACE_NAMES"]
+if TYPE_CHECKING:
+    from repro.simulation.scenario import Scenario
+
+__all__ = ["SimulationResult", "ResultSummary", "FigureData", "TRACE_NAMES"]
 
 #: Every trace the engine records, in display order.
 TRACE_NAMES = (
@@ -151,3 +154,32 @@ class SimulationResult:
             estimated_samples=int(np.sum(estimated)) if estimated.size else 0,
             final_follower_speed=float(speeds[-1]) if speeds.size else float("nan"),
         )
+
+
+@dataclass(frozen=True)
+class FigureData:
+    """The three runs a figure panel overlays.
+
+    The radar data without attack, with attack (undefended), and the
+    estimates the defense produces — built by ``repro.run(scenario,
+    mode="figure")`` with a shared sensor seed so noise aligns across
+    the overlay.
+    """
+
+    scenario: "Scenario"
+    baseline: SimulationResult
+    attacked: SimulationResult
+    defended: SimulationResult
+
+    def detection_time(self) -> float:
+        """First detection instant of the defended run.
+
+        Raises if nothing was detected — a figure scenario always
+        contains an attack.
+        """
+        times = self.defended.detection_times
+        if not times:
+            raise RuntimeError(
+                f"defended run of {self.scenario.name!r} detected nothing"
+            )
+        return times[0]

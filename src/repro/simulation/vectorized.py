@@ -25,7 +25,12 @@ The vectorized engine reproduces the scalar engine **bit-identically**
   ``np.random.default_rng(sensor_seed)`` in exactly the scalar order
   (a small per-run python loop inside the step — the draws are the only
   per-run python left, and they are cheap relative to the scalar
-  engine's full-python step).
+  engine's full-python step);
+* the dead-reckoning rollback (restore the last authenticated snapshot,
+  replay the quarantined samples through the validation gate) runs as
+  masked array code over every rolled-back run at once, through the
+  same predictor and anchor kernels as the forward loop, with no
+  per-run python.
 
 ``tests/test_vectorized_equivalence.py`` enforces the contract across
 attack kinds, fidelities, estimators, horizons and seeds.
@@ -35,8 +40,10 @@ What is vectorizable
 :func:`vectorization_blocker` names the feature that forces a spec onto
 the scalar engine, or returns None when the spec can join a vector
 group.  Blocked today: platoon scenarios, the IDM follower policy,
-adaptive challenge scheduling, non-linear-polynomial defense bases and
-attack types outside the paper's set.  ``"signal"`` fidelity is
+adaptive challenge scheduling, the ``secure_reconstruction`` and
+``combined`` defense strategies (their sliding-window subset solver is
+stateful per run), non-linear-polynomial defense bases and attack
+types outside the paper's set.  ``"signal"`` fidelity is
 supported via a per-run sensor fallback inside the vectorized loop (the
 root-MUSIC chain runs per run; everything else stays vectorized).
 
@@ -68,6 +75,7 @@ from repro.attacks import (
 from repro.radar.equations import invert_beat_frequencies
 from repro.radar.link_budget import _FOUR_PI
 from repro.radar.sensor import FMCWRadarSensor
+from repro.simulation.engine import _POST_COLLISION_GAP_FLOOR
 from repro.simulation.results import SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.types import DetectionEvent, TimeSeries
@@ -75,9 +83,6 @@ from repro.vehicle.kinematics import advance_state
 from repro.vehicle.state import VehicleState
 
 __all__ = ["vectorization_blocker", "group_key", "run_group_vectorized"]
-
-#: Mirrors ``engine._POST_COLLISION_GAP_FLOOR``.
-_GAP_FLOOR = 0.5
 
 _SUPPORTED_ATTACKS = (NoAttack, DoSJammingAttack, DelayInjectionAttack, PhantomTargetAttack)
 
@@ -139,86 +144,13 @@ def group_key(spec):
     )
 
 
-# ----------------------------------------------------------------------
-# scalar-mirror helpers (python-float twins of the masked array kernels,
-# used by the per-run dead-reckoning replay on rollback)
-# ----------------------------------------------------------------------
-
-
-class _ScalarPredictor:
-    """Python-float mirror of one run's RLS channel state during replay.
-
-    Expression-for-expression identical to
-    :class:`repro.core.predictor.ChannelPredictor` with the 2-parameter
-    component-wise :class:`repro.core.rls.RLSEstimator` kernel.
-    """
-
-    __slots__ = (
-        "w0", "w1", "p00", "p01", "p10", "p11",
-        "n_upd", "res_var", "ref", "has_ref",
-    )
-
-    def __init__(self, w0, w1, p00, p01, p10, p11, n_upd, res_var, ref, has_ref):
-        self.w0 = w0
-        self.w1 = w1
-        self.p00 = p00
-        self.p01 = p01
-        self.p10 = p10
-        self.p11 = p11
-        self.n_upd = n_upd
-        self.res_var = res_var
-        self.ref = ref
-        self.has_ref = has_ref
-
-    def predict(self, time: float, cfg) -> float:
-        tau = (time - self.ref) / cfg.time_scale
-        return self.w0 + self.w1 * tau
-
-    def observe(self, time: float, value: float, cfg) -> None:
-        if not self.has_ref:
-            self.ref = time
-            self.has_ref = True
-        tau = (time - self.ref) / cfg.time_scale
-        lam = cfg.forgetting
-        if cfg.adaptive and self.n_upd >= cfg.min_train:
-            sigma = float(np.sqrt(max(0.0, self.res_var)))
-            if sigma > 1e-12:
-                error = value - (self.w0 + self.w1 * tau)
-                normalized = error / (3.0 * sigma)
-                ratio = normalized * normalized
-                factor = float(np.exp(-min(50.0, ratio)))
-                lam = max(cfg.min_forgetting, cfg.forgetting * factor)
-        warmed = self.n_upd >= cfg.min_train
-        pi0 = self.p00 + self.p01 * tau
-        pi1 = self.p10 + self.p11 * tau
-        gamma = lam + (pi0 + tau * pi1)
-        g0 = pi0 / gamma
-        g1 = pi1 / gamma
-        error = value - (self.w0 + self.w1 * tau)
-        self.w0 = self.w0 + g0 * error
-        self.w1 = self.w1 + g1 * error
-        n00 = (self.p00 - g0 * pi0) / lam
-        n01 = (self.p01 - g0 * pi1) / lam
-        n10 = (self.p10 - g1 * pi0) / lam
-        n11 = (self.p11 - g1 * pi1) / lam
-        off = 0.5 * (n01 + n10)
-        self.p00 = n00
-        self.p01 = off
-        self.p10 = off
-        self.p11 = n11
-        if warmed:
-            lam0 = cfg.forgetting
-            self.res_var = lam0 * self.res_var + (1.0 - lam0) * (error * error)
-        self.n_upd += 1
-
-
 class _DefenseCfg:
     """Shared (run-invariant) defense constants, resolved once per group."""
 
     __slots__ = (
         "forgetting", "delta", "time_scale", "min_train", "zero_tol",
         "adaptive", "min_forgetting", "margin_gain", "rollback",
-        "dead_reckoning", "sample_period",
+        "dead_reckoning",
     )
 
     def __init__(self, scenario: Scenario):
@@ -233,20 +165,6 @@ class _DefenseCfg:
         self.margin_gain = float(d.margin_gain)
         self.rollback = bool(d.rollback_on_detection)
         self.dead_reckoning = d.estimator_kind == "dead_reckoning"
-        self.sample_period = float(scenario.sample_period)
-
-
-def _scalar_roll_anchor(anchor_time, gap, to_time, speed, pred, cfg):
-    """Python-float mirror of ``DeadReckoningEstimator._roll_anchor``."""
-    while anchor_time + 1e-9 < to_time:
-        step_time = min(anchor_time + cfg.sample_period, to_time)
-        midpoint = 0.5 * (anchor_time + step_time)
-        forecast = pred.predict(midpoint, cfg)
-        leader_velocity = max(0.0, forecast)
-        relative_velocity = leader_velocity - speed
-        gap += relative_velocity * (step_time - anchor_time)
-        anchor_time = step_time
-    return anchor_time, max(0.0, gap)
 
 
 # ----------------------------------------------------------------------
@@ -284,27 +202,6 @@ class _VecPredictor:
     def load_from(self, snap, mask) -> None:
         for name, arr in zip(self._STATE, snap):
             getattr(self, name)[mask] = arr[mask]
-
-    def scalar_view(self, i: int) -> _ScalarPredictor:
-        return _ScalarPredictor(
-            float(self.w0[i]), float(self.w1[i]),
-            float(self.p00[i]), float(self.p01[i]),
-            float(self.p10[i]), float(self.p11[i]),
-            int(self.n_upd[i]), float(self.res_var[i]),
-            float(self.ref[i]), bool(self.has_ref[i]),
-        )
-
-    def write_scalar(self, i: int, s: _ScalarPredictor) -> None:
-        self.w0[i] = s.w0
-        self.w1[i] = s.w1
-        self.p00[i] = s.p00
-        self.p01[i] = s.p01
-        self.p10[i] = s.p10
-        self.p11[i] = s.p11
-        self.n_upd[i] = s.n_upd
-        self.res_var[i] = s.res_var
-        self.ref[i] = s.ref
-        self.has_ref[i] = s.has_ref
 
     # -- kernels ---------------------------------------------------------
 
@@ -591,7 +488,9 @@ def run_group_vectorized(specs) -> List[SimulationResult]:
             if newly.any():
                 collision_time[newly] = t
                 collided |= newly
-        radar_gap = np.where(true_gap < _GAP_FLOOR, _GAP_FLOOR, true_gap)
+        radar_gap = np.where(
+            true_gap < _POST_COLLISION_GAP_FLOOR, _POST_COLLISION_GAP_FLOOR, true_gap
+        )
         trv = lv_k - vel
 
         transmit = not challenge[k]
@@ -687,7 +586,7 @@ def run_group_vectorized(specs) -> List[SimulationResult]:
                     if roll.any():
                         if cfg.dead_reckoning:
                             _replay_rollback(
-                                roll, k, times, cfg, pred,
+                                roll, k, times, T, pred,
                                 anchor_time, anchor_gap, anchor_valid,
                                 ltt, ltt_valid, q_start,
                                 qmode, qspeed,
@@ -719,7 +618,7 @@ def run_group_vectorized(specs) -> List[SimulationResult]:
                         qmode[k][forecastable] = 2
                         qspeed[k] = sensed_ego
                         _vec_roll_anchor(
-                            forecastable, t, T, cfg, pred,
+                            forecastable, t, T, pred,
                             anchor_time, anchor_gap, sensed_ego,
                         )
                         forecast = pred.predict(t)
@@ -963,7 +862,7 @@ def run_group_vectorized(specs) -> List[SimulationResult]:
     return results
 
 
-def _vec_roll_anchor(mask, to_time, T, cfg, pred, anchor_time, anchor_gap, speeds):
+def _vec_roll_anchor(mask, to_time, T, pred, anchor_time, anchor_gap, speeds):
     """Masked mirror of ``DeadReckoningEstimator._roll_anchor``.
 
     Rows advance independently until their anchor reaches ``to_time``;
@@ -984,64 +883,57 @@ def _vec_roll_anchor(mask, to_time, T, cfg, pred, anchor_time, anchor_gap, speed
     np.copyto(anchor_gap, np.where(anchor_gap > 0.0, anchor_gap, 0.0), where=mask)
 
 
+
 def _replay_rollback(
-    roll, k, times, cfg, pred,
+    roll, k, times, T, pred,
     anchor_time, anchor_gap, anchor_valid,
     ltt, ltt_valid, q_start,
     qmode, qspeed, md_trace, mrv_trace,
     snap_pred, snap_anchor_time, snap_anchor_gap,
     snap_anchor_valid, snap_ltt, snap_ltt_valid,
 ):
-    """Per-run mirror of ``DeadReckoningEstimator.restore``.
+    """Masked mirror of ``DeadReckoningEstimator.restore``.
 
-    Rolls each masked run back to its authenticated snapshot, then
-    replays its quarantined samples with the validation gate — scalar
-    python floats per run, using the same fixed-association expressions
-    as the vectorized kernels (and hence as the scalar engine).
+    Rolls the masked rows back to their authenticated snapshots, then
+    replays every row's quarantined steps ``q_start..k-1`` at once: the
+    anchor rolls forward on the model with the logged ego speeds, and a
+    logged measurement is re-accepted only inside the gate
+    ``max(3, 5·σ·max(1, span))``.  The replay runs the forward loop's
+    own masked kernels, so it stays bit-identical to the scalar engine.
     """
-    for i in np.nonzero(roll)[0]:
-        s = _ScalarPredictor(
-            float(snap_pred[0][i]), float(snap_pred[1][i]),
-            float(snap_pred[2][i]), float(snap_pred[3][i]),
-            float(snap_pred[4][i]), float(snap_pred[5][i]),
-            int(snap_pred[6][i]), float(snap_pred[7][i]),
-            float(snap_pred[8][i]), bool(snap_pred[9][i]),
+    pred.load_from(snap_pred, roll)
+    np.copyto(anchor_time, snap_anchor_time, where=roll)
+    np.copyto(anchor_gap, snap_anchor_gap, where=roll)
+    np.copyto(anchor_valid, snap_anchor_valid, where=roll)
+    np.copyto(ltt, snap_ltt, where=roll)
+    np.copyto(ltt_valid, snap_ltt_valid, where=roll)
+    replaying = roll & anchor_valid
+    snap_at = anchor_time.copy()
+    first = int(q_start[replaying].min()) if replaying.any() else k
+    for j in range(first, k):
+        log_t = times[j]
+        entry_mode = qmode[j]
+        live = (
+            replaying
+            & (q_start <= j)
+            & (entry_mode != 0)
+            & (log_t > snap_at)
+            & pred.trained
         )
-        at_i = float(snap_anchor_time[i])
-        ag_i = float(snap_anchor_gap[i])
-        av_i = bool(snap_anchor_valid[i])
-        ltt_i = float(snap_ltt[i])
-        lttv_i = bool(snap_ltt_valid[i])
-        if av_i:
-            snap_at = at_i
-            for j in range(int(q_start[i]), k):
-                entry_mode = qmode[j, i]
-                if entry_mode == 0:
-                    continue
-                log_t = times[j]
-                if log_t <= snap_at or s.n_upd < cfg.min_train:
-                    continue
-                speed_j = float(qspeed[j, i])
-                span = log_t - (ltt_i if lttv_i else snap_at)
-                at_i, ag_i = _scalar_roll_anchor(at_i, ag_i, log_t, speed_j, s, cfg)
-                if entry_mode != 1:
-                    continue
-                d_j = float(md_trace[j, i])
-                rv_j = float(mrv_trace[j, i])
-                innovation = d_j - ag_i
-                residual = float(np.sqrt(max(0.0, s.res_var)))
-                gate = max(3.0, 5.0 * residual * max(1.0, span))
-                if abs(innovation) <= gate:
-                    s.observe(log_t, rv_j + speed_j, cfg)
-                    at_i = log_t
-                    ag_i = d_j
-                    av_i = True
-                    ltt_i = log_t
-                    lttv_i = True
-        pred.write_scalar(i, s)
-        anchor_time[i] = at_i
-        anchor_gap[i] = ag_i
-        anchor_valid[i] = av_i
-        ltt[i] = ltt_i
-        ltt_valid[i] = lttv_i
-        q_start[i] = k
+        if not live.any():
+            continue
+        speed = qspeed[j]
+        span = log_t - np.where(ltt_valid, ltt, snap_at)
+        _vec_roll_anchor(live, log_t, T, pred, anchor_time, anchor_gap, speed)
+        innovation = md_trace[j] - anchor_gap
+        residual = np.sqrt(np.where(pred.res_var > 0.0, pred.res_var, 0.0))
+        width = 5.0 * residual * np.where(span > 1.0, span, 1.0)
+        gate = np.where(width > 3.0, width, 3.0)
+        accept = live & (entry_mode == 1) & (np.abs(innovation) <= gate)
+        if accept.any():
+            pred.observe(log_t, mrv_trace[j] + speed, accept)
+            np.copyto(anchor_time, log_t, where=accept)
+            np.copyto(anchor_gap, md_trace[j], where=accept)
+            np.copyto(ltt, log_t, where=accept)
+            ltt_valid |= accept
+    q_start[roll] = k

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro import fig2_scenario
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
@@ -158,11 +159,9 @@ class TestMonteCarloParallel:
         assert serial.attacked == parallel.attacked
 
     def test_figure_triple_parallel_identical(self):
-        from repro.simulation.runner import run_figure_scenario
-
         scenario = fig2_scenario("delay")
-        serial = run_figure_scenario(scenario, workers=1)
-        parallel = run_figure_scenario(scenario, workers=3)
+        serial = repro.run(scenario, mode="figure", workers=1)
+        parallel = repro.run(scenario, mode="figure", workers=3)
         assert serial.detection_time() == parallel.detection_time()
         assert serial.defended.min_gap() == parallel.defended.min_gap()
         assert serial.attacked.collided == parallel.attacked.collided

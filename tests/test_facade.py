@@ -1,4 +1,4 @@
-"""Unified experiment facade (repro.run) and its compatibility aliases."""
+"""Unified experiment facade (repro.run)."""
 
 import pytest
 
@@ -7,14 +7,19 @@ from repro import fig2_scenario
 from repro.exceptions import ConfigurationError
 from repro.facade import run
 from repro.simulation import (
+    CarFollowingSimulation,
     FigureData,
     MonteCarloSummary,
     PlatoonResult,
     PlatoonScenario,
+    PlatoonSimulation,
+    RunSpec,
     SimulationResult,
+    run_many,
     scenario_to_dict,
     save_scenario,
 )
+from repro.simulation.io import result_to_dict
 from repro.vehicle import ConstantAccelerationProfile
 
 FAST = fig2_scenario("dos", horizon=20.0)
@@ -32,21 +37,48 @@ class TestRunModes:
     def test_default_mode_is_single(self):
         result = run(FAST)
         assert isinstance(result, SimulationResult)
-        reference = repro.simulation.runner.run_single(FAST)
-        assert result.min_gap() == reference.min_gap()
+        reference = CarFollowingSimulation(FAST).run()
+        assert result_to_dict(result) == result_to_dict(reference)
 
     def test_single_toggles(self):
         undefended = run(FAST, attack_enabled=False, defended=False)
         assert isinstance(undefended, SimulationResult)
         assert not undefended.detection_times
 
+    def test_single_mode_toggles_match_impl(self):
+        for attack_enabled, defended in ((False, False), (True, False), (False, True)):
+            result = run(FAST, attack_enabled=attack_enabled, defended=defended)
+            reference = CarFollowingSimulation(
+                FAST, attack_enabled=attack_enabled, defended=defended
+            ).run()
+            assert result_to_dict(result) == result_to_dict(reference)
+
+    def test_figure_mode_legs_match_single_mode(self):
+        data = run(FAST, mode="figure")
+        legs = (
+            (data.baseline, False, False),
+            (data.attacked, True, False),
+            (data.defended, True, True),
+        )
+        for leg, attack_enabled, defended in legs:
+            single = run(FAST, attack_enabled=attack_enabled, defended=defended)
+            assert result_to_dict(leg) == result_to_dict(single)
+
     def test_figure_mode(self):
         scenario = fig2_scenario("dos")
         data = run(scenario, mode="figure")
         assert isinstance(data, FigureData)
         assert data.detection_time() == 182.0
-        reference = repro.simulation.runner.run_figure_scenario(scenario)
-        assert data.defended.min_gap() == reference.defended.min_gap()
+        reference = run_many(
+            [
+                RunSpec(scenario, attack_enabled=False, defended=False),
+                RunSpec(scenario, attack_enabled=True, defended=False),
+                RunSpec(scenario, attack_enabled=True, defended=True),
+            ]
+        )
+        assert [
+            result_to_dict(r) for r in (data.baseline, data.attacked, data.defended)
+        ] == [result_to_dict(r) for r in reference]
 
     def test_monte_carlo_mode_with_explicit_seeds(self):
         summary = run(
@@ -74,6 +106,15 @@ class TestRunModes:
         result = run(_platoon_scenario())
         assert isinstance(result, PlatoonResult)
         assert result.n_followers == 2
+
+    def test_platoon_mode_attack_toggle_matches_impl(self):
+        scenario = _platoon_scenario()
+        result = run(scenario, attack_enabled=False)
+        reference = PlatoonSimulation(scenario, attack_enabled=False).run()
+        assert result.collision_times == reference.collision_times
+        assert {k: v.values for k, v in result.traces.items()} == {
+            k: v.values for k, v in reference.traces.items()
+        }
 
     def test_platoon_scenario_rejects_other_modes(self):
         with pytest.raises(ConfigurationError, match="does not fit"):
@@ -103,45 +144,16 @@ class TestSpecInputs:
             run(42)
 
 
-class TestDeprecatedAliases:
-    """The pre-``run()`` names still work but warn (see facade docstring)."""
-
-    def test_top_level_names_are_facade_aliases(self):
+class TestPublicNames:
+    def test_removed_aliases_are_gone(self):
+        """``repro.run`` is the one public runner; the old aliases are gone."""
         assert repro.run is run
-        assert repro.run_single is repro.facade.run_single
-        assert repro.run_figure_scenario is repro.facade.run_figure_scenario
-        assert repro.run_monte_carlo is repro.facade.run_monte_carlo
-        assert repro.run_platoon is repro.facade.run_platoon
-
-    def test_run_single_warns_and_matches_impl(self):
-        with pytest.warns(DeprecationWarning, match=r"run_single\(\) is deprecated"):
-            result = repro.run_single(FAST)
-        assert (
-            result.min_gap() == repro.simulation.runner.run_single(FAST).min_gap()
-        )
-
-    def test_run_figure_scenario_warns_and_matches_run(self):
-        with pytest.warns(
-            DeprecationWarning, match=r"run_figure_scenario\(\) is deprecated"
+        for name in (
+            "run_single",
+            "run_figure_scenario",
+            "run_monte_carlo",
+            "run_platoon",
         ):
-            data = repro.run_figure_scenario(FAST)
-        assert isinstance(data, FigureData)
-        assert data.defended.min_gap() == run(FAST, mode="figure").defended.min_gap()
-
-    def test_run_monte_carlo_warns_with_default_args(self):
-        with pytest.warns(
-            DeprecationWarning, match=r"run_monte_carlo\(\) is deprecated"
-        ):
-            summary = repro.run_monte_carlo(FAST, seeds=range(2))
-        assert isinstance(summary, MonteCarloSummary)
-        assert summary.n_runs == 2
-
-    def test_run_platoon_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_platoon\(\) is deprecated"):
-            result = repro.run_platoon(_platoon_scenario(), attack_enabled=False)
-        assert isinstance(result, PlatoonResult)
-
-    def test_warning_points_at_caller(self):
-        with pytest.warns(DeprecationWarning) as captured:
-            repro.run_single(FAST)
-        assert captured[0].filename == __file__
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.facade, name)
+            assert name not in repro.__all__

@@ -11,7 +11,6 @@ from repro.simulation import (
     fig2_scenario,
     fig3_scenario,
     paper_challenge_times,
-    run_single,
 )
 from repro.simulation.results import TRACE_NAMES, SimulationResult
 from repro.units import mph_to_mps
@@ -75,21 +74,27 @@ class TestScenarioFactories:
 
 class TestSimulationRuns:
     def test_baseline_run_traces(self):
-        result = run_single(fig2_scenario("dos"), attack_enabled=False, defended=False)
+        result = CarFollowingSimulation(
+            fig2_scenario("dos"), attack_enabled=False, defended=False
+        ).run()
         assert set(result.traces) == set(TRACE_NAMES)
         assert len(result.times) == 301
         assert not result.collided
         assert result.attack_name == "none"
 
     def test_baseline_follower_tracks_leader(self):
-        result = run_single(fig2_scenario("dos"), attack_enabled=False, defended=False)
+        result = CarFollowingSimulation(
+            fig2_scenario("dos"), attack_enabled=False, defended=False
+        ).run()
         vF = result.array("follower_velocity")
         vL = result.array("leader_velocity")
         # After the transient the follower matches the leader closely.
         assert np.all(np.abs(vF[100:250] - vL[100:250]) < 2.0)
 
     def test_gap_respects_desired_distance_when_clean(self):
-        result = run_single(fig2_scenario("dos"), attack_enabled=False, defended=False)
+        result = CarFollowingSimulation(
+            fig2_scenario("dos"), attack_enabled=False, defended=False
+        ).run()
         gap = result.array("true_distance")
         d_des = result.array("desired_distance")
         # Stays near the CTH target through the tracking phase.
@@ -97,7 +102,9 @@ class TestSimulationRuns:
 
     def test_challenge_zeros_visible_in_measured_trace(self):
         # The paper's "spikes going to zero" at k = 15, 50, 175...
-        result = run_single(fig2_scenario("dos"), attack_enabled=False, defended=False)
+        result = CarFollowingSimulation(
+            fig2_scenario("dos"), attack_enabled=False, defended=False
+        ).run()
         measured = result.series("measured_distance")
         assert measured.value_at(15.0) == 0.0
         assert measured.value_at(50.0) == 0.0
@@ -105,33 +112,33 @@ class TestSimulationRuns:
         assert measured.value_at(100.0) > 0.0
 
     def test_dos_attack_corrupts_measured_trace(self):
-        result = run_single(fig2_scenario("dos"), defended=False)
+        result = CarFollowingSimulation(fig2_scenario("dos"), defended=False).run()
         measured = result.array("measured_distance")
         true = result.array("true_distance")
         errors = np.abs(measured[183:] - true[183:])
         assert np.median(errors) > 20.0
 
     def test_undefended_dos_collides(self):
-        result = run_single(fig2_scenario("dos"), defended=False)
+        result = CarFollowingSimulation(fig2_scenario("dos"), defended=False).run()
         assert result.collided
         assert result.collision_time is not None
         assert result.collision_time > 182.0
 
     def test_defended_dos_survives(self):
-        result = run_single(fig2_scenario("dos"), defended=True)
+        result = CarFollowingSimulation(fig2_scenario("dos"), defended=True).run()
         assert not result.collided
         assert result.detection_times == [182.0]
 
     def test_defended_run_estimates_during_attack(self):
-        result = run_single(fig2_scenario("dos"), defended=True)
+        result = CarFollowingSimulation(fig2_scenario("dos"), defended=True).run()
         estimated = result.array("estimated_flag")
         times = result.times
         attack_samples = estimated[(times >= 183.0) & (times <= 299.0)]
         assert np.all(attack_samples == 1.0)
 
     def test_run_is_deterministic(self):
-        a = run_single(fig2_scenario("dos"), defended=True)
-        b = run_single(fig2_scenario("dos"), defended=True)
+        a = CarFollowingSimulation(fig2_scenario("dos"), defended=True).run()
+        b = CarFollowingSimulation(fig2_scenario("dos"), defended=True).run()
         assert np.array_equal(
             a.array("follower_velocity"), b.array("follower_velocity")
         )

@@ -100,6 +100,38 @@ _RNG = np.random.default_rng(20170604)
 RANDOM_GROUPS = [_random_group(_RNG) for _ in range(10)]
 
 
+def _rollback_gate_group():
+    """Dead-reckoning rollback whose replay straddles the 3 m gate floor.
+
+    The snapshot at the clean k = 10 challenge is restored at k = 20;
+    the quarantined 3.2 m spoofs from k = 14 on reach the replay with
+    innovations on both sides of ``max(3, 5·σ·max(1, span))``'s floor
+    (about 2.9 to 3.4 m with these seeds), so a gate off by half a
+    metre re-accepts different samples than the scalar engine.
+    """
+    scenario = fig2_scenario("dos").with_overrides(
+        name="rollback-gate",
+        horizon=30.0,
+        challenge_times=(10.0, 20.0, 26.0),
+        distance_noise_std=0.1,
+        attack=DelayInjectionAttack(
+            AttackWindow(14.0, 30.0),
+            distance_offset=3.2,
+            velocity_offset=0.0,
+            ramp_time=0.0,
+        ),
+    )
+    assert scenario.defense.estimator_kind == "dead_reckoning"
+    assert scenario.defense.rollback_on_detection
+    return [
+        RunSpec(scenario.with_overrides(sensor_seed=seed), defended=True, tag=str(seed))
+        for seed in range(4)
+    ]
+
+
+EQUIVALENCE_GROUPS = RANDOM_GROUPS + [_rollback_gate_group()]
+
+
 def _payload_dicts(batch):
     batch.raise_on_error()
     return [result_to_dict(record.payload) for record in batch.records]
@@ -108,8 +140,8 @@ def _payload_dicts(batch):
 class TestBitIdenticalEquivalence:
     @pytest.mark.parametrize(
         "group",
-        RANDOM_GROUPS,
-        ids=[f"{g[0].scenario.name}-{i}" for i, g in enumerate(RANDOM_GROUPS)],
+        EQUIVALENCE_GROUPS,
+        ids=[f"{g[0].scenario.name}-{i}" for i, g in enumerate(EQUIVALENCE_GROUPS)],
     )
     def test_random_groups_match_scalar_exactly(self, group):
         assert vectorization_blocker(group[0]) is None
