@@ -11,11 +11,10 @@ Asserted contracts:
 
 * **determinism** — both worker counts produce identical per-cell
   outcome sequences, both stores hold the same 10,000 fingerprints,
-  and the raw payload blobs are byte-identical shard-to-shard (the
-  4-worker store was written *by the pool workers*, one file handle
-  each — see ``_StoreWritingPostprocess`` — which the
-  ``store.worker_writes`` counter confirms whenever a scalar pool
-  actually runs);
+  and the raw payload blobs are byte-identical shard-to-shard
+  (whoever computes a run stores it, so the 4-worker store was
+  written *by the pool workers* — which the ``store.worker_writes``
+  counter confirms whenever a scalar pool actually runs);
 * **scaling** — on a machine with >= 4 usable cores the 4-worker
   sweep completes >= 3x faster (on smaller containers the timings are
   emitted but the floor is not asserted — nothing to parallelize onto);

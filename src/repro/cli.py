@@ -61,8 +61,9 @@ their independent runs out over a process pool (see
 also accept ``--cache`` / ``--no-cache`` (default: no cache) to serve
 previously computed runs from the store and persist new ones —
 cached output is byte-identical to uncached — or ``--store-shards N``
-to cache through an N-shard store whose shards the pool workers write
-concurrently — and ``--backend
+to cache through an N-file directory store; either way whoever
+computes a run stores it, so pool workers write their own results —
+and ``--backend
 {auto,scalar,vectorized}`` to pick the simulation engine (default:
 the ``REPRO_BACKEND`` environment variable, else scalar; output is
 bit-identical across backends) — plus ``--profile`` (print the
@@ -89,15 +90,22 @@ from repro.simulation.knobs import BACKENDS
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``--workers``: a strictly positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 _FIGURE_FACTORIES = {
@@ -150,10 +158,10 @@ def _add_worker_and_cache_args(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         metavar="N",
         default=None,
-        help="cache runs (readwrite) through an N-shard run store — "
-        "worker processes write their own shards concurrently "
+        help="cache runs (readwrite) through an N-file directory store "
         "(default location: the runstore-shards directory next to the "
-        "single-file store; overrides --cache/--no-cache)",
+        "single-file store; overrides --cache/--no-cache); as with "
+        "--cache, whoever computes a run stores it",
     )
     parser.add_argument(
         "--backend",
@@ -243,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--seeds",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         help="extra sensor seeds for a robustness section (markdown only)",
     )
@@ -757,16 +765,22 @@ def _dispatch(args: argparse.Namespace, out, err) -> int:
             print(str(exc), file=err)
             return 2
         if args.experiment in _FIGURE_FACTORIES:
-            return _run_figure(
-                args.experiment,
-                args.seed,
-                not args.no_plot,
-                out,
-                args.workers,
-                _cache_mode(args),
-                args.backend,
-                args.defense,
-            )
+            from repro.exceptions import ConfigurationError
+
+            try:
+                return _run_figure(
+                    args.experiment,
+                    args.seed,
+                    not args.no_plot,
+                    out,
+                    args.workers,
+                    _cache_mode(args),
+                    args.backend,
+                    args.defense,
+                )
+            except ConfigurationError as exc:
+                print(str(exc), file=err)
+                return 2
         print(
             f"{experiment.identifier} is regenerated by its benchmark:\n"
             f"  pytest benchmarks/{experiment.bench} --benchmark-only",

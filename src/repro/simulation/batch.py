@@ -40,7 +40,12 @@ Determinism also makes runs *memoizable*: with ``cache=`` set to
 ``"readonly"`` or ``"readwrite"`` (or an explicit
 :class:`repro.store.RunStore`), each spec is fingerprinted via
 :mod:`repro.store.fingerprint` and store hits skip simulation entirely
-— the replayed payload is bit-identical to a fresh run.
+— the replayed payload is bit-identical to a fresh run.  Cached and
+uncached batches share one dispatch (with cache off the lookup simply
+finds no hits).  In ``readwrite`` mode whoever computes a run stores
+it: a pool worker writes its own results, whatever the store's file
+count, so only reduced payloads cross the process boundary; serial
+runs and vectorized groups are written by the calling process.
 
 The ``backend=`` knob selects the engine (see
 :mod:`repro.simulation.knobs`): ``"scalar"`` is the per-run engine
@@ -61,6 +66,7 @@ import time
 import warnings
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -113,6 +119,17 @@ class RunSpec:
     attack_enabled: bool = True
     defended: bool = True
     tag: str = ""
+
+    @cached_property
+    def _fingerprint(self) -> Optional[str]:
+        """The run-store key (:func:`repro.store.fingerprint.run_fingerprint`).
+
+        Computed once per spec object and pickled with it, so the store
+        lookup and the store write of one run hash the spec only once.
+        """
+        from repro.store.fingerprint import run_fingerprint
+
+        return run_fingerprint(self)
 
 
 @dataclass(frozen=True)
@@ -332,7 +349,9 @@ def execute_batch(
         Run-store policy (see :mod:`repro.store.cache`): ``None`` /
         ``"off"`` (default) bypasses the store entirely;
         ``"readonly"`` serves fingerprint hits from the store;
-        ``"readwrite"`` additionally stores computed misses.  A
+        ``"readwrite"`` additionally stores computed misses, each
+        written by whoever computed it (the pool worker, or the
+        calling process for serial runs and vectorized groups).  A
         :class:`~repro.store.RunStore` or
         :class:`~repro.store.CacheBinding` selects an explicit store.
         Results are bit-identical in every mode; only wall-clock
@@ -361,34 +380,74 @@ def execute_batch(
 
     tele = _telemetry.current()
     mark = tele.mark() if tele is not None else None
+    start = time.perf_counter()
 
     binding = None
     if cache is not None and cache != "off":
         from repro.store.cache import resolve_cache
 
         binding = resolve_cache(cache)
-    if binding is None:
-        result = _execute_batch_plain(
-            specs,
+    writes = binding is not None and binding.writes
+    try:
+        # Serve fingerprint hits from the store; with cache off there
+        # is nothing to look up and every spec is a miss.
+        records: dict = {}
+        misses: List[Tuple[int, RunSpec]] = []
+        for index, spec in enumerate(specs):
+            lookup_start = time.perf_counter()
+            hit = None
+            if binding is not None and spec._fingerprint is not None:
+                hit = binding.store.get(spec._fingerprint)
+            if hit is None:
+                misses.append((index, spec))
+                continue
+            if postprocess is None:
+                payload, error = hit, None
+            else:
+                payload, error = _apply_postprocess(postprocess, spec, hit)
+            records[index] = RunRecord(
+                index=index,
+                tag=spec.tag,
+                payload=payload,
+                elapsed=time.perf_counter() - lookup_start,
+                worker_pid=os.getpid(),
+                error=error,
+                cached=True,
+            )
+        # Whoever computes a run stores it: the store writer runs next
+        # to the engine, so the user's reducer still sees the raw
+        # result and only the reduced payload leaves a pool worker.
+        inner = _compute_batch(
+            [spec for _, spec in misses],
             workers=workers,
             chunksize=chunksize,
-            postprocess=postprocess,
+            postprocess=(
+                _StoreWritingPostprocess(binding.store, postprocess)
+                if writes else postprocess
+            ),
             backend=backend,
         )
-    else:
-        try:
-            result = _execute_batch_cached(
-                specs,
-                binding,
-                workers=workers,
-                chunksize=chunksize,
-                postprocess=postprocess,
-                backend=backend,
-            )
-        finally:
-            if binding.owns_store:
-                binding.store.close()
+    finally:
+        if binding is not None and binding.owns_store:
+            binding.store.close()
 
+    parent = os.getpid()
+    for (index, spec), record in zip(misses, inner.records):
+        records[index] = replace(record, index=index)
+        # Worker processes have no telemetry session, so their writes
+        # are counted here; inline writes count as ``store.writes``.
+        if writes and record.ok and spec._fingerprint is not None and (
+            record.worker_pid != parent
+        ):
+            _telemetry.incr("store.worker_writes")
+    result = BatchResult(
+        records=tuple(records[index] for index in range(len(specs))),
+        workers=inner.workers,
+        parallel=inner.parallel,
+        elapsed=time.perf_counter() - start,
+        cache_hits=len(specs) - len(misses),
+        degraded_reason=inner.degraded_reason,
+    )
     if tele is not None and mark is not None:
         _emit_batch_telemetry(tele, result)
         result = replace(result, telemetry=tele.summary_since(mark))
@@ -419,7 +478,7 @@ def _emit_batch_telemetry(tele: "_telemetry.Telemetry", result: BatchResult) -> 
         tele.incr("batch.degraded")
 
 
-def _execute_batch_plain(
+def _compute_batch(
     specs: Sequence[RunSpec],
     *,
     workers: int,
@@ -427,7 +486,7 @@ def _execute_batch_plain(
     postprocess: Optional[Postprocess],
     backend: str = "scalar",
 ) -> BatchResult:
-    """The store-free execution path (pre-cache behavior, unchanged)."""
+    """Run every spec on the selected engine (no store lookups)."""
     if backend != "scalar":
         return _execute_batch_vector(
             specs,
@@ -440,7 +499,7 @@ def _execute_batch_plain(
     start = time.perf_counter()
     submitted_at = time.time()
     effective = min(workers, len(items))
-    if effective == 1:
+    if effective <= 1:
         records = _run_serial(items, postprocess, submitted_at=submitted_at)
         return BatchResult(
             records=tuple(records),
@@ -599,7 +658,7 @@ def _execute_batch_vector(
     parallel, degraded_reason, effective = False, None, 1
     if scalar_items:
         scalar_items.sort()
-        inner = _execute_batch_plain(
+        inner = _compute_batch(
             [spec for _, spec in scalar_items],
             workers=workers,
             chunksize=chunksize,
@@ -629,197 +688,41 @@ def _apply_postprocess(
         return None, f"{type(exc).__name__}: {exc}"
 
 
-#: Per-worker-process cache of opened directory stores, keyed by
-#: (directory, file count).  A pool worker re-used across chunks keeps
-#: its file connections open instead of reconnecting per run.
-_WORKER_STORES: dict = {}
-
-
-def _worker_store(path: str, shards: int) -> Any:
-    key = (path, shards)
-    store = _WORKER_STORES.get(key)
-    if store is None:
-        from repro.store.runstore import RunStore
-
-        store = RunStore(path, shards=shards)
-        _WORKER_STORES[key] = store
-    return store
-
-
 @dataclass(frozen=True)
 class _StoreWritingPostprocess:
-    """Worker-side store writer wrapped around the user's reducer.
+    """Store writer wrapped around the user's reducer.
 
-    With a single-file store, cache-aware batches keep every write in
-    the parent (one WAL file serializes its writers anyway) — which
-    also forces raw :class:`SimulationResult` payloads across the
-    process boundary.  A store of ``shards > 1`` files flips both
-    costs: this wrapper runs inside the pool worker, writes the freshly
-    computed result into the worker's own file connection (fingerprint
-    routing means distinct files never contend), and only then applies
-    the user's reducer — so the parent receives the reduced payload and
-    performs no store writes at all.
+    A readwrite batch wraps its reducer in this on every path, so the
+    run is stored where it was computed: inside the pool worker for a
+    pooled scalar run, in the calling process for serial runs and
+    vectorized groups.  The raw result is written first and only the
+    reduced payload leaves a pool worker.
 
-    Picklable by construction (the store travels as its directory path
-    + file count and is reopened lazily per worker process via
-    :data:`_WORKER_STORES`).  Under serial degradation the wrapper
-    simply runs in the parent process and stays correct.  A store
-    write failure fails the run (captured per-record like any other
-    run error).
+    Picklable as long as the reducer is: the store travels as its path
+    plus geometry and reopens its files lazily in the worker (see
+    :class:`~repro.store.runstore.RunStore`).  A store write failure
+    fails the run (captured per-record like any other run error).
     """
 
-    path: str
-    shards: int
+    store: Any
     postprocess: Optional[Postprocess] = None
 
     def __call__(self, spec: RunSpec, result: Any) -> Any:
-        if isinstance(result, SimulationResult):
+        if isinstance(result, SimulationResult) and spec._fingerprint is not None:
             from repro.simulation.spec import scenario_to_dict
-            from repro.store.fingerprint import run_fingerprint
 
-            fingerprint = run_fingerprint(spec)
-            if fingerprint is not None:
-                _worker_store(self.path, self.shards).put(
-                    fingerprint,
-                    result,
-                    spec_dict=scenario_to_dict(spec.scenario),
-                    attack_enabled=spec.attack_enabled,
-                    defended=spec.defended,
-                    sensor_seed=spec.scenario.sensor_seed,
-                    horizon=spec.scenario.horizon,
-                )
+            self.store.put(
+                spec._fingerprint,
+                result,
+                spec_dict=scenario_to_dict(spec.scenario),
+                attack_enabled=spec.attack_enabled,
+                defended=spec.defended,
+                sensor_seed=spec.scenario.sensor_seed,
+                horizon=spec.scenario.horizon,
+            )
         if self.postprocess is None:
             return result
         return self.postprocess(spec, result)
-
-
-def _execute_batch_cached(
-    specs: Sequence[RunSpec],
-    binding: Any,
-    *,
-    workers: int,
-    chunksize: Optional[int],
-    postprocess: Optional[Postprocess],
-    backend: str = "scalar",
-) -> BatchResult:
-    """Serve fingerprint hits from the run store; compute the misses.
-
-    With a single-file store the store is only ever touched from the
-    calling process — workers never hold a SQLite connection, and in
-    ``readwrite`` mode they return raw
-    :class:`~repro.simulation.results.SimulationResult` payloads (any
-    ``postprocess`` is applied parent-side after the store write).  A
-    store of ``shards > 1`` files instead has each pool worker write
-    its own files directly via
-    :class:`_StoreWritingPostprocess` — the reducer then runs
-    worker-side and raw payloads never cross the process boundary.
-    Either way a sweep's reducer sees the same values whether its
-    input was computed or replayed.
-    """
-    from repro.store.fingerprint import run_fingerprint
-
-    start = time.perf_counter()
-    items = list(enumerate(specs))
-    records: dict = {}
-    misses: List[Tuple[int, RunSpec, Optional[str]]] = []
-    for index, spec in items:
-        lookup_start = time.perf_counter()
-        fingerprint = run_fingerprint(spec)
-        hit = binding.store.get(fingerprint) if fingerprint is not None else None
-        if hit is None:
-            misses.append((index, spec, fingerprint))
-            continue
-        if postprocess is None:
-            payload, error = hit, None
-        else:
-            payload, error = _apply_postprocess(postprocess, spec, hit)
-        records[index] = RunRecord(
-            index=index,
-            tag=spec.tag,
-            payload=payload,
-            elapsed=time.perf_counter() - lookup_start,
-            worker_pid=os.getpid(),
-            error=error,
-            cached=True,
-        )
-
-    inner_workers, parallel = 1, False
-    degraded_reason: Optional[str] = None
-    if misses:
-        # A store of several files lets each worker write its own
-        # files and ship only the reduced payload back; a one-file
-        # store keeps every write in the parent (one WAL file
-        # serializes its writers), which also needs the raw result back.
-        worker_writes = (
-            binding.writes
-            and workers > 1
-            and backend == "scalar"
-            and binding.store.shards > 1
-        )
-        if worker_writes:
-            binding.store.prepare()
-            worker_postprocess: Optional[Postprocess] = _StoreWritingPostprocess(
-                path=str(binding.store.path),
-                shards=binding.store.shards,
-                postprocess=postprocess,
-            )
-        else:
-            worker_postprocess = None if binding.writes else postprocess
-        inner = _execute_batch_plain(
-            [spec for _, spec, _ in misses],
-            workers=workers,
-            chunksize=chunksize,
-            postprocess=worker_postprocess,
-            backend=backend,
-        )
-        inner_workers, parallel = inner.workers, inner.parallel
-        degraded_reason = inner.degraded_reason
-        for (index, spec, fingerprint), record in zip(misses, inner.records):
-            payload, error = record.payload, record.error
-            if worker_writes:
-                # The worker already stored the result and applied the
-                # user's reducer; count the write parent-side (worker
-                # processes have no telemetry session).
-                if record.ok and fingerprint is not None:
-                    _telemetry.incr("store.worker_writes")
-            elif binding.writes and record.ok:
-                if fingerprint is not None and isinstance(
-                    payload, SimulationResult
-                ):
-                    from repro.simulation.spec import scenario_to_dict
-
-                    binding.store.put(
-                        fingerprint,
-                        payload,
-                        spec_dict=scenario_to_dict(spec.scenario),
-                        attack_enabled=spec.attack_enabled,
-                        defended=spec.defended,
-                        sensor_seed=spec.scenario.sensor_seed,
-                        horizon=spec.scenario.horizon,
-                    )
-                if postprocess is not None:
-                    payload, error = _apply_postprocess(
-                        postprocess, spec, payload
-                    )
-            records[index] = RunRecord(
-                index=index,
-                tag=spec.tag,
-                payload=payload,
-                elapsed=record.elapsed,
-                worker_pid=record.worker_pid,
-                error=error,
-                queue_wait=record.queue_wait,
-                backend_used=record.backend_used,
-            )
-
-    return BatchResult(
-        records=tuple(records[index] for index, _ in items),
-        workers=inner_workers,
-        parallel=parallel,
-        elapsed=time.perf_counter() - start,
-        cache_hits=len(items) - len(misses),
-        degraded_reason=degraded_reason,
-    )
 
 
 def run_many(

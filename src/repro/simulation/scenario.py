@@ -18,6 +18,7 @@ Shared experimental constants (paper §6.2):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
@@ -306,6 +307,15 @@ class Scenario:
         if self.follower_policy not in ("acc", "idm"):
             raise ConfigurationError(
                 f"follower_policy must be 'acc' or 'idm', got {self.follower_policy!r}"
+            )
+        seed = self.sensor_seed
+        if (
+            isinstance(seed, bool)
+            or not isinstance(seed, numbers.Integral)
+            or seed < 0
+        ):
+            raise ConfigurationError(
+                f"sensor_seed must be a non-negative integer, got {seed!r}"
             )
 
     def sensor_noise_overrides(self) -> dict:

@@ -19,9 +19,9 @@ consumes a *prefix* of each cell's seed list — so an adaptive cell's
 outcomes are literally the first ``n`` outcomes of the fixed-grid run
 of the same cell, and every executed run is fingerprinted and served
 from the run store on re-execution (``cache=`` has the usual
-:mod:`repro.store.cache` semantics; point it at a
-``RunStore(path, shards=N)`` directory store to let the pool workers
-write their files concurrently).
+:mod:`repro.store.cache` semantics; pool workers store the runs they
+compute, and a ``RunStore(path, shards=N)`` directory store spreads
+those writes over N files).
 
 The driver fans each round out through
 :func:`~repro.simulation.batch.execute_batch` (``workers=`` /

@@ -21,9 +21,12 @@ A store is a list of SQLite files; a run lives in file
           ...
 
   The manifest pins the geometry, so reopening autodetects it and a
-  store can never be consulted with the wrong modulus.  Distinct files
-  never contend, which is why batch pool workers write their own files
-  directly when ``shards > 1`` (see :mod:`repro.simulation.batch`).
+  store can never be consulted with the wrong modulus.
+
+Whoever computes a run stores it: a batch pool worker writes its own
+results straight into the owning file, whatever the file count (see
+:mod:`repro.simulation.batch`).  Distinct files never contend, and
+writers of one file queue on its WAL lock.
 
 Every file is safe for concurrent access:
 
@@ -36,9 +39,9 @@ Every file is safe for concurrent access:
   count — callers never see a raw ``sqlite3.OperationalError:
   database is locked``;
 * connections are opened lazily and re-opened after a ``fork`` (the
-  owning pid is tracked), so a store object that leaks into a
-  ``ProcessPoolExecutor`` worker does not share a connection with the
-  parent;
+  owning pid is tracked), and a store pickles as its path plus
+  geometry, so a store object that reaches a ``ProcessPoolExecutor``
+  worker never shares a connection with the parent;
 * payload floats round-trip exactly (``float64`` in, ``float64``
   out), so a cache hit is bit-identical to recomputing the run.
 
@@ -590,6 +593,15 @@ class RunStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def __getstate__(self) -> Tuple[Path, Optional[int]]:
+        # Path plus geometry only: no connection crosses a pickle, and
+        # the copy opens its files lazily, as after a fork.
+        return self._path, (None if self._manifest is None else self.shards)
+
+    def __setstate__(self, state: Tuple[Path, Optional[int]]) -> None:
+        path, shards = state
+        self.__init__(path, shards=shards)
 
     # -- core API ------------------------------------------------------
 

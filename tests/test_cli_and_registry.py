@@ -101,6 +101,23 @@ class TestCLI:
         assert out == ""  # stdout stays clean for pipelines
         assert "unknown experiment" in err
 
+    def test_run_negative_seed_is_a_usage_error(self):
+        code, out, err = self.run_cli_streams(
+            ["run", "fig2a", "--no-plot", "--seed", "-1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "sensor_seed must be a non-negative integer" in err
+        assert "Traceback" not in err
+
+    def test_report_negative_seeds_rejected_at_parse_time(self, tmp_path, capsys):
+        report = tmp_path / "R.md"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--markdown", str(report), "--seeds", "-3"])
+        assert excinfo.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_report(self):
         code, text = self.run_cli(["report"])
         assert code == 0

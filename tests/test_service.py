@@ -372,6 +372,26 @@ class TestEndpointContract:
 
         run_async(scenario())
 
+    def test_invalid_sensor_seed_is_400(self, tmp_path):
+        async def scenario():
+            app = await start_app(tmp_path)
+            try:
+                for seed in (-1, True):
+                    status, payload = await fetch_json(
+                        "127.0.0.1",
+                        app.port,
+                        "POST",
+                        "/v1/runs",
+                        {**SPEC, "sensor_seed": seed, "wait": True},
+                    )
+                    assert status == 400
+                    assert "sensor_seed" in payload["error"]
+                assert app.jobs.executed_runs == 0
+            finally:
+                await stop_app(app)
+
+        run_async(scenario())
+
     def test_unknown_resources_are_404(self, tmp_path):
         async def scenario():
             app = await start_app(tmp_path)

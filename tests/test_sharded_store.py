@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -226,6 +227,44 @@ class TestManifest:
         assert (path / MANIFEST_NAME).read_text() == before
 
 
+class TestPickle:
+    """A store pickles as its path plus geometry: the copy opens its
+    own connections lazily and addresses the same files."""
+
+    @staticmethod
+    def _round_trip(store):
+        copy = pickle.loads(pickle.dumps(store))
+        # sqlite3 connections do not pickle, so reaching here already
+        # means none crossed; the copy starts with none open.
+        assert all(file._conn is None for file in copy._files)
+        assert copy.path == store.path
+        assert copy.shards == store.shards
+        return copy
+
+    @pytest.mark.parametrize("layout", ["file", "fresh directory", "directory"])
+    def test_round_trip(self, tmp_path, result, layout):
+        if layout == "file":
+            store = RunStore(tmp_path / "runs.sqlite")
+        else:
+            store = RunStore(tmp_path / "shards", shards=3)
+            if layout == "directory":
+                store.prepare()
+        with store:
+            fresh = self._round_trip(store)  # no connection open yet
+            with fresh:
+                assert fresh.put(_fp(0), result)
+            assert _fp(0) in store  # landed in the parent's file
+
+            store.put(_fp(1), result)  # the parent's connections are open
+            assert any(file._conn is not None for file in store._files)
+            with self._round_trip(store) as copy:
+                assert copy.get(_fp(1)) is not None  # reads the parent's rows
+                assert copy.put(_fp(2), result)
+                assert copy.fingerprints() == sorted(_fp(i) for i in range(3))
+            assert store.fingerprints() == sorted(_fp(i) for i in range(3))
+            assert store.stats().shard_count == store.shards
+
+
 class TestMerge:
     def _rows(self, store):
         return {
@@ -277,7 +316,7 @@ class TestMerge:
 
 
 def _write_runs(path, shards, start, count):
-    """Worker: open the sharded store and write `count` runs."""
+    """Worker: open the store and write `count` runs."""
     result = repro.run(FAST)
     with RunStore(path, shards=shards) as store:
         written = sum(
@@ -304,6 +343,22 @@ class TestMultiProcessWriters:
             )
             assert store.fingerprints() == expected
 
+    def test_one_file_writers_lose_nothing(self, tmp_path):
+        """Writers of one WAL file queue on its lock; nothing is lost."""
+        path = str(tmp_path / "runs.sqlite")
+        with ProcessPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(_write_runs, path, None, worker * 100, 4)
+                for worker in range(4)
+            ]
+            outcomes = [f.result() for f in futures]
+        assert sum(written for _, written in outcomes) == 16
+        with RunStore(path) as store:
+            assert store.shards == 1
+            assert store.fingerprints() == sorted(
+                _fp(worker * 100 + i) for worker in range(4) for i in range(4)
+            )
+
     def test_overlapping_writers_single_winner(self, tmp_path):
         """Every worker races on the same fingerprints (and on manifest
         creation): exactly one insert wins per key, none are lost."""
@@ -325,38 +380,59 @@ class TestBatchWorkerWrites:
             RunSpec(FAST.with_overrides(sensor_seed=seed)) for seed in range(n)
         ]
 
-    def test_worker_writes_chosen_by_shard_count(self, tmp_path):
-        """Pool workers write a store of several files themselves; a
-        one-file store takes every write in the parent."""
+    def test_whoever_computes_a_run_stores_it(self, tmp_path):
+        """Pool workers write their own results whatever the file
+        count; a serial batch writes inline from the calling process."""
         specs = self._specs(2)
-        for shards, worker_writes in ((1, 0), (3, 2)):
-            store = RunStore(tmp_path / f"s{shards}", shards=shards)
+        for store in (
+            RunStore(tmp_path / "one.sqlite"),
+            RunStore(tmp_path / "three", shards=3),
+        ):
             with store, telemetry.session() as tele:
-                execute_batch(specs, workers=2, cache=store, backend="scalar")
+                batch = execute_batch(specs, workers=2, cache=store, backend="scalar")
                 assert len(store) == 2
-            assert tele.counters.get("store.worker_writes", 0) == worker_writes
+            assert batch.parallel
+            assert tele.counters["store.worker_writes"] == 2
+            assert "store.writes" not in tele.counters
+
+        with RunStore(tmp_path / "serial.sqlite") as store:
+            with telemetry.session() as tele:
+                execute_batch(specs, workers=1, cache=store, backend="scalar")
+            assert len(store) == 2
+        assert tele.counters["store.writes"] == 2
+        assert "store.worker_writes" not in tele.counters
 
     def test_cold_then_warm_through_pool(self, tmp_path):
         specs = self._specs(4)
-        with RunStore(tmp_path / "shards", shards=4) as store:
-            with telemetry.session() as tele:
-                cold = execute_batch(specs, workers=2, cache=store)
-            assert cold.cache_hits == 0
-            assert len(store) == 4
-            if cold.parallel:
-                # The pool workers wrote their own shards directly.
-                assert tele.counters["store.worker_writes"] == 4
-
-            warm = execute_batch(specs, workers=1, cache=store)
-            assert warm.cache_hits == 4
-            assert all(r.cached for r in warm.records)
-
         plain = execute_batch(specs)
-        for a, b in zip(warm.records, plain.records):
-            for name in a.payload.traces:
-                assert (
-                    a.payload.traces[name].values == b.payload.traces[name].values
-                )
+        for store in (
+            RunStore(tmp_path / "one.sqlite"),
+            RunStore(tmp_path / "shards", shards=4),
+        ):
+            with store:
+                with telemetry.session() as tele:
+                    cold = execute_batch(specs, workers=2, cache=store)
+                assert cold.cache_hits == 0
+                assert len(store) == 4
+                if cold.parallel:
+                    # The pool workers wrote the store directly.
+                    assert tele.counters["store.worker_writes"] == 4
+
+                warm = execute_batch(specs, workers=1, cache=store)
+                assert warm.cache_hits == 4
+                assert all(r.cached for r in warm.records)
+
+            for a, b in zip(warm.records, plain.records):
+                for name in b.payload.traces:
+                    assert (
+                        a.payload.traces[name].values
+                        == b.payload.traces[name].values
+                    )
+                    assert (
+                        a.payload.traces[name].times
+                        == b.payload.traces[name].times
+                    )
+                assert a.payload.detection_events == b.payload.detection_events
 
     def test_readonly_sharded_binding_never_writes(self, tmp_path):
         specs = self._specs(2)

@@ -65,6 +65,15 @@ class TestScenarioFactories:
                 initial_distance=-5.0,
             )
 
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "7", None])
+    def test_sensor_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="sensor_seed"):
+            fig2_scenario("dos").with_overrides(sensor_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**40])
+    def test_sensor_seed_accepts_integers(self, seed):
+        assert fig2_scenario("dos").with_overrides(sensor_seed=seed).sensor_seed == seed
+
     def test_defense_config_validation(self):
         with pytest.raises(ConfigurationError):
             DefenseConfig(basis_kind="fourier")

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -308,6 +309,25 @@ class TestCacheAwareExecution:
             execute_batch(specs, cache=store)  # populate
             hit = execute_batch(specs, cache=readonly)
             assert hit.cache_hits == 1
+
+    def test_spec_hashed_once_for_lookup_and_write(self, tmp_path, monkeypatch):
+        import repro.store.fingerprint as fingerprint_module
+
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return run_fingerprint(spec)
+
+        monkeypatch.setattr(fingerprint_module, "run_fingerprint", counting)
+        spec = RunSpec(FAST)
+        with RunStore(tmp_path / "s.sqlite") as store:
+            execute_batch([spec], cache=store)
+            assert len(store) == 1
+        assert calls == [spec]
+        # The key travels with a pickled spec (what a pool worker gets).
+        assert pickle.loads(pickle.dumps(spec))._fingerprint == run_fingerprint(spec)
+        assert calls == [spec]
 
     def test_postprocess_applied_to_cached_runs(self, tmp_path):
         specs = [RunSpec(FAST, tag="t")]
