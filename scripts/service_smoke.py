@@ -9,8 +9,10 @@ harness in the loop:
 2. ``GET /healthz`` answers ok;
 3. ``POST /v1/runs`` with a small fig2a spec returns 202 and the job
    polls through to ``done``;
-4. re-POSTing the identical spec returns 200 with ``cache_hit`` true
-   and the same fingerprint;
+4. re-POSTing the identical spec returns 200 with ``cache_hit`` true,
+   the same fingerprint and the polled job's ``result``; ``GET
+   /v1/runs/{fp}`` returns that summary, and ``?trace=1`` a payload
+   with the run's name;
 5. ``GET /v1/store/stats`` counts the stored run;
 6. SIGINT shuts the server down cleanly (exit code 0).
 
@@ -115,6 +117,15 @@ def main():
             return fail(f"warm POST was not a cache hit: {status} {hit}", server)
         if hit["fingerprint"] != queued["fingerprint"]:
             return fail("fingerprint changed between identical POSTs", server)
+        if hit["result"] != job["result"]:
+            return fail(f"hit result {hit['result']} != job result {job['result']}", server)
+        run_url = base + f"/v1/runs/{hit['fingerprint']}"
+        status, stored = request("GET", run_url)
+        if status != 200 or stored.get("summary") != job["result"]:
+            return fail(f"stored run: {status} {stored}", server)
+        status, traced = request("GET", run_url + "?trace=1")
+        if status != 200 or traced.get("payload", {}).get("name") != job["result"]["name"]:
+            return fail(f"stored trace: {status} {str(traced)[:300]}", server)
         print(f"cache hit on {hit['fingerprint'][:12]}...")
 
         status, stats = request("GET", base + "/v1/store/stats")

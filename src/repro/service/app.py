@@ -7,7 +7,8 @@ Endpoint contract (see ``docs/service_api.md`` for the full schema):
     Submit a declarative scenario spec (``spec_version=2`` dict; v1
     bodies are still read), flat or wrapped under ``"scenario"``, plus
     ``attack_enabled`` / ``defended`` / ``backend`` / ``cache`` knobs.
-    A store hit answers ``200`` with the result summary immediately; a
+    A store hit answers ``200`` with the row's stored summary
+    immediately (the payload is not decoded); a
     miss enqueues and answers ``202`` with a job id — identical
     concurrent requests coalesce onto one execution.  ``?wait=1`` (or
     ``"wait": true`` in the body) blocks until the run finishes and
@@ -16,8 +17,10 @@ Endpoint contract (see ``docs/service_api.md`` for the full schema):
     Job status (``queued`` / ``running`` / ``done`` / ``failed``) with
     ``backend_used`` / ``degraded_reason`` provenance.
 ``GET /v1/runs/{fingerprint}``
-    The stored result: summary always, the full bit-exact trace
-    payload with ``?trace=1``.
+    The stored result: name and summary always, read from the row's
+    stored summary; the full bit-exact trace payload (decoded from the
+    row) with ``?trace=1``.  A segment that is not 64 lowercase hex
+    digits is a ``400``.
 ``GET /v1/store/stats``
     The run store's :meth:`~repro.store.runstore.StoreStats.as_dict`
     — the same serialization ``repro cache stats --json`` prints.
@@ -35,6 +38,7 @@ submissions additionally count ``service.cache_hit`` /
 from __future__ import annotations
 
 import asyncio
+import re
 import signal
 import sys
 import time
@@ -55,6 +59,9 @@ _KNOB_KEYS = ("scenario", "spec", "attack_enabled", "defended", "backend",
               "cache", "workers", "wait")
 
 Reply = Tuple[int, Any]
+
+#: A run fingerprint: a lowercase SHA-256 hex digest.
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
 def _split_request(body: Any) -> Tuple[dict, Dict[str, Any]]:
@@ -216,12 +223,11 @@ class ServiceApp:
             cache=knobs.get("cache", "readwrite"),
         )
         if submission.cache_hit:
-            result = submission.result
             return 200, {
                 "status": "done",
                 "cache_hit": True,
                 "fingerprint": submission.fingerprint,
-                "result": result.summary().as_dict(),
+                "result": submission.summary,
                 "links": {"result": f"/v1/runs/{submission.fingerprint}"},
             }
         job = submission.job
@@ -251,13 +257,22 @@ class ServiceApp:
         return 200, job.as_dict()
 
     def _get_run(self, fingerprint: str, with_trace: bool) -> Reply:
-        result = self.store.get(fingerprint)
-        if result is None:
+        if not _FINGERPRINT.fullmatch(fingerprint):
+            return 400, {
+                "error": f"malformed run fingerprint {fingerprint!r} "
+                "(expected 64 lowercase hex digits)"
+            }
+        if with_trace:
+            result = self.store.get(fingerprint)
+            summary = None if result is None else result.summary().as_dict()
+        else:
+            summary = self.store.summary(fingerprint)
+        if summary is None:
             return 404, {"error": f"no stored run {fingerprint!r}"}
         payload: Dict[str, Any] = {
             "fingerprint": fingerprint,
-            "name": result.name,
-            "summary": result.summary().as_dict(),
+            "name": summary["name"],
+            "summary": summary,
         }
         if with_trace:
             payload["payload"] = result_to_dict(result)

@@ -5,7 +5,9 @@ The manager sits between the HTTP handlers and the execution engine:
 
 * :meth:`JobManager.submit` fingerprints an incoming run request
   (:func:`repro.store.fingerprint.run_fingerprint`), serves store hits
-  immediately, and otherwise returns a :class:`Job` — creating one, or
+  immediately from the row's stored summary
+  (:meth:`~repro.store.runstore.RunStore.summary`, no payload decode),
+  and otherwise returns a :class:`Job` — creating one, or
   **coalescing** onto the identical run already in flight;
 * each job executes through a bounded ``asyncio.Semaphore`` (at most
   ``workers`` simulations at once) on a ``ProcessPoolExecutor``, so
@@ -146,9 +148,9 @@ class Submission:
 
     Exactly one of the three shapes:
 
-    * cache hit — ``result`` is the replayed
-      :class:`~repro.simulation.results.SimulationResult`, ``job`` is
-      ``None``;
+    * cache hit — ``summary`` is the stored run's summary dict
+      (:meth:`~repro.store.runstore.RunStore.summary`, the
+      ``ResultSummary.as_dict()`` form), ``job`` is ``None``;
     * new job — ``job`` is set, ``coalesced`` is ``False``;
     * coalesced — ``job`` is the already-in-flight job, ``coalesced``
       is ``True``.
@@ -156,12 +158,12 @@ class Submission:
 
     fingerprint: str
     job: Optional[Job] = None
-    result: Optional[SimulationResult] = None
+    summary: Optional[dict] = None
     coalesced: bool = False
 
     @property
     def cache_hit(self) -> bool:
-        return self.result is not None
+        return self.summary is not None
 
 
 class JobManager:
@@ -257,10 +259,10 @@ class JobManager:
         )
 
         if cache != "off":
-            hit = self.store.get(fingerprint)
+            hit = self.store.summary(fingerprint)
             if hit is not None:
                 _telemetry.incr("service.cache_hit")
-                return Submission(fingerprint=fingerprint, result=hit)
+                return Submission(fingerprint=fingerprint, summary=hit)
             inflight = self._inflight.get(fingerprint)
             if inflight is not None:
                 inflight.coalesced += 1

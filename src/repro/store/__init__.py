@@ -8,10 +8,11 @@ results memoizable across processes and sessions:
   addresses of runs, salted with a schema version;
 * :mod:`repro.store.runstore` — :class:`RunStore`, the SQLite (WAL)
   store holding run metadata, headline summaries, and compressed trace
-  payloads, with ``get`` / ``put`` / ``stats`` / ``evict`` / ``export``
-  APIs.  It lives in one file, or in a directory of N files routed by
-  fingerprint prefix (``RunStore(path, shards=N)``), which concurrent
-  multi-process writers fill without contending;
+  payloads, with ``get`` / ``summary`` / ``put`` / ``stats`` /
+  ``evict`` / ``export`` APIs.  It lives in one file, or in a directory
+  of N files routed by fingerprint prefix (``RunStore(path,
+  shards=N)``), which concurrent multi-process writers fill without
+  contending;
   :func:`merge_stores` moves runs between any two stores;
 * :mod:`repro.store.cache` — policy resolution for the ``cache=``
   argument threaded through :func:`repro.run`,
@@ -44,6 +45,7 @@ from repro.store.runstore import (
     RunStore,
     ShardStats,
     StoreContentionError,
+    StoreCorruptionError,
     StoreStats,
     default_sharded_store_path,
     default_store_path,
@@ -63,6 +65,7 @@ __all__ = [
     "RunStore",
     "ShardStats",
     "StoreContentionError",
+    "StoreCorruptionError",
     "StoreStats",
     "default_store_path",
     "ShardedRunStore",

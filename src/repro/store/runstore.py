@@ -76,6 +76,7 @@ __all__ = [
     "StoreStats",
     "ShardStats",
     "StoreContentionError",
+    "StoreCorruptionError",
     "merge_stores",
     "shard_index",
     "default_store_path",
@@ -148,6 +149,21 @@ class StoreContentionError(ReproError):
     file is genuinely oversubscribed (consider a directory store with
     more files), not that a writer got unlucky once.
     """
+
+
+class StoreCorruptionError(ReproError):
+    """A stored row's payload could not be decoded.
+
+    Raised by :meth:`RunStore.get` (and so by every cache replay) for a
+    truncated or corrupt payload or an unknown codec; the message names
+    the fingerprint and the database file.
+    """
+
+
+#: What a damaged payload raises inside :func:`_decode_payload`: zlib
+#: and struct errors, JSON/UTF-8 errors and short buffers (both
+#: ``ValueError``), a header missing its keys, and an unknown codec.
+_DECODE_ERRORS = (zlib.error, struct.error, ValueError, KeyError)
 
 
 def _is_lock_error(exc: sqlite3.OperationalError) -> bool:
@@ -445,6 +461,8 @@ class RunStore:
     :func:`repro.store.fingerprint.run_fingerprint`; values are full
     :class:`~repro.simulation.results.SimulationResult` payloads plus
     queryable metadata (scenario name, seed, horizon, headline summary).
+    :meth:`get` decodes a run's full payload; :meth:`summary` reads only
+    its stored headline summary, which is all a service hit needs.
 
     ``path`` is a ``.sqlite`` file or a directory of ``shards`` files
     (see the module docstring).  ``shards`` may be omitted when opening
@@ -655,28 +673,52 @@ class RunStore:
                 tele.incr("store.write_skips")
         return written
 
-    def get(self, fingerprint: str) -> Optional[SimulationResult]:
-        """Fetch the run stored under ``fingerprint`` (``None`` on miss).
+    def _lookup(
+        self, fingerprint: str, columns: str
+    ) -> Tuple[_File, Optional[Tuple]]:
+        """The owning file and the row's ``columns`` (``None`` on miss).
 
         A database file that does not exist yet is an unconditional
-        miss and is *not* created by reads.
+        miss and is *not* created by reads.  Counts ``store.hits`` /
+        ``store.misses``.
         """
-        tele = _telemetry.current()
         file = self._file(fingerprint)
         row = None
         if file.path.exists():
             row = file.connect().execute(
-                "SELECT payload, payload_codec FROM runs WHERE fingerprint = ?",
+                f"SELECT {columns} FROM runs WHERE fingerprint = ?",
                 (fingerprint,),
             ).fetchone()
+        _telemetry.incr("store.misses" if row is None else "store.hits")
+        return file, row
+
+    def get(self, fingerprint: str) -> Optional[SimulationResult]:
+        """Fetch the run stored under ``fingerprint`` (``None`` on miss).
+
+        Decodes the whole payload; a row that cannot be decoded raises
+        :class:`StoreCorruptionError`.
+        """
+        file, row = self._lookup(fingerprint, "payload, payload_codec")
         if row is None:
-            if tele is not None:
-                tele.incr("store.misses")
             return None
-        if tele is not None:
-            tele.incr("store.hits")
-            tele.incr("store.hit_bytes", len(row[0]))
-        return _decode_payload(row[0], row[1])
+        _telemetry.incr("store.hit_bytes", len(row[0]))
+        try:
+            return _decode_payload(row[0], row[1])
+        except _DECODE_ERRORS as exc:
+            raise StoreCorruptionError(
+                f"stored run {fingerprint} in {file.path} cannot be decoded: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+
+    def summary(self, fingerprint: str) -> Optional[dict]:
+        """The stored headline summary of ``fingerprint`` (``None`` on miss).
+
+        Reads only the row's ``summary_json`` column — the
+        ``ResultSummary.as_dict()`` written by :meth:`put` — so the
+        payload is neither read nor checked.
+        """
+        _, row = self._lookup(fingerprint, "summary_json")
+        return None if row is None else json.loads(row[0])
 
     def __contains__(self, fingerprint: str) -> bool:
         file = self._file(fingerprint)

@@ -16,6 +16,7 @@ Covers the subsystem's load-bearing contracts:
 import asyncio
 import io
 import json
+import sqlite3
 
 import pytest
 
@@ -85,9 +86,10 @@ class StubRunner:
         self.gate.set()
 
 
-async def start_app(tmp_path, **kwargs) -> ServiceApp:
+async def start_app(tmp_path, store=None, **kwargs) -> ServiceApp:
     kwargs.setdefault("executor", "thread")
-    store = RunStore(tmp_path / "service.sqlite")
+    if store is None:
+        store = RunStore(tmp_path / "service.sqlite")
     app = ServiceApp(store, **kwargs)
     await app.start("127.0.0.1", 0)
     return app
@@ -201,6 +203,125 @@ class TestEndToEnd:
         # Equality on the full dict (JSON floats round-trip exactly) is
         # the bit-identical contract through the HTTP surface.
         assert replayed == direct
+
+
+class TestSummaryReads:
+    """Hits and plain ``GET /v1/runs/{fp}`` answer from the row's stored
+    summary; only ``?trace=1`` decodes the payload."""
+
+    def test_hits_never_decode_the_payload(self, tmp_path, monkeypatch):
+        import repro.store.runstore as runstore_module
+
+        async def scenario():
+            app = await start_app(tmp_path)
+            try:
+                port = app.port
+                status, miss = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs?wait=1", SPEC
+                )
+                assert status == 200 and miss["cache_hit"] is False
+                fingerprint = miss["fingerprint"]
+
+                def no_decode(*args):
+                    raise RuntimeError("payload decoded")
+
+                monkeypatch.setattr(runstore_module, "_decode_payload", no_decode)
+                status, hit = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs", SPEC
+                )
+                assert status == 200 and hit["cache_hit"] is True
+                assert hit["result"] == miss["result"]
+                status, stored = await fetch_json(
+                    "127.0.0.1", port, "GET", f"/v1/runs/{fingerprint}"
+                )
+                assert status == 200
+                assert stored == {
+                    "fingerprint": fingerprint,
+                    "name": miss["result"]["name"],
+                    "summary": miss["result"],
+                }
+                # ?trace=1 is the one read that decodes.
+                status, failed = await fetch_json(
+                    "127.0.0.1", port, "GET", f"/v1/runs/{fingerprint}?trace=1"
+                )
+                assert status == 500 and "payload decoded" in failed["error"]
+
+                monkeypatch.undo()
+                status, traced = await fetch_json(
+                    "127.0.0.1", port, "GET", f"/v1/runs/{fingerprint}?trace=1"
+                )
+                assert status == 200
+                assert traced["summary"] == miss["result"]
+                return traced["payload"]
+            finally:
+                await stop_app(app)
+
+        assert run_async(scenario()) == result_to_dict(repro.run(FAST))
+
+    def test_corrupt_row_trace_is_500_naming_the_run(self, tmp_path):
+        async def scenario():
+            app = await start_app(tmp_path)
+            try:
+                port = app.port
+                _, miss = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs?wait=1", SPEC
+                )
+                fingerprint = miss["fingerprint"]
+                with sqlite3.connect(tmp_path / "service.sqlite") as conn:
+                    conn.execute(
+                        "UPDATE runs SET payload = substr(payload, 1, 64) "
+                        "WHERE fingerprint = ?",
+                        (fingerprint,),
+                    )
+                status, failed = await fetch_json(
+                    "127.0.0.1", port, "GET", f"/v1/runs/{fingerprint}?trace=1"
+                )
+                assert status == 500
+                assert failed["error"].startswith("StoreCorruptionError")
+                assert fingerprint in failed["error"]
+                assert "service.sqlite" in failed["error"]
+                # A summary-only read trusts the row (claim boundary).
+                status, stored = await fetch_json(
+                    "127.0.0.1", port, "GET", f"/v1/runs/{fingerprint}"
+                )
+                assert status == 200 and stored["summary"] == miss["result"]
+            finally:
+                await stop_app(app)
+
+        run_async(scenario())
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_malformed_fingerprint_is_400(self, tmp_path, shards):
+        store = (
+            RunStore(tmp_path / "service.sqlite") if shards is None
+            else RunStore(tmp_path / "svc", shards=shards)
+        )
+
+        async def scenario():
+            app = await start_app(tmp_path, store=store)
+            try:
+                port = app.port
+                await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs?wait=1", SPEC
+                )
+                for segment in ("zz", "not-a-fingerprint", "A" * 64, "0" * 63):
+                    for suffix in ("", "?trace=1"):
+                        status, payload = await fetch_json(
+                            "127.0.0.1", port, "GET", f"/v1/runs/{segment}{suffix}"
+                        )
+                        assert status == 400, (segment, payload)
+                        assert "malformed run fingerprint" in payload["error"]
+                for suffix in ("", "?trace=1"):
+                    status, payload = await fetch_json(
+                        "127.0.0.1", port, "GET", f"/v1/runs/{'0' * 64}{suffix}"
+                    )
+                    assert status == 404 and "no stored run" in payload["error"]
+            finally:
+                await stop_app(app)
+
+        with telemetry.session() as tele:
+            run_async(scenario())
+        assert "service.errors" not in tele.counters
 
 
 class TestSingleFlight:

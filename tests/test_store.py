@@ -3,14 +3,17 @@
 import io
 import json
 import pickle
+import sqlite3
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 import repro
-from repro import fig2_scenario
+from repro import fig2_scenario, telemetry
 from repro.cli import main
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.simulation import (
     PlatoonScenario,
     RunSpec,
@@ -22,11 +25,14 @@ from repro.store import (
     CacheBinding,
     RunStore,
     STORE_SCHEMA_VERSION,
+    StoreCorruptionError,
     canonical_json,
     default_store_path,
     fingerprint_payload,
+    merge_stores,
     resolve_cache,
     run_fingerprint,
+    shard_index,
 )
 from repro.vehicle import ConstantAccelerationProfile
 
@@ -36,6 +42,23 @@ FAST = fig2_scenario("dos", horizon=20.0)
 
 def _spec(**overrides):
     return RunSpec(FAST.with_overrides(**overrides)) if overrides else RunSpec(FAST)
+
+
+@pytest.fixture(scope="module")
+def headline_runs():
+    """Paper-horizon runs whose summaries differ in kind, keyed by
+    fingerprints that route to three different files of a 3-file store."""
+    paper = fig2_scenario("dos")
+    runs = {
+        "a" * 64: repro.run(paper, defended=False),
+        "b" * 64: repro.run(paper, attack_enabled=False),
+        "c" * 64: repro.run(paper),
+    }
+    collided, quiet, defended = (run.summary() for run in runs.values())
+    assert collided.collided
+    assert quiet.first_detection_time is None
+    assert defended.first_detection_time == 182.0 and not defended.collided
+    return runs
 
 
 class TestCanonicalJson:
@@ -136,6 +159,7 @@ class TestRunStore:
     def test_reads_do_not_create_file(self, tmp_path):
         with self.open(tmp_path / "nope" / "s") as store:
             assert store.get("a" * 64) is None
+            assert store.summary("a" * 64) is None
             assert "a" * 64 not in store
             assert len(store) == 0
             assert store.fingerprints() == []
@@ -143,6 +167,38 @@ class TestRunStore:
             assert store.evict() == 0
             assert store.clear() == 0
         assert not (tmp_path / "nope").exists()
+
+    def test_summary_reads_the_stored_summary(self, tmp_path, headline_runs):
+        """The summary column equals the summary of the decoded payload,
+        in this geometry and after a merge into the other one."""
+        dest = (
+            RunStore(tmp_path / "merged.sqlite") if self.shards
+            else RunStore(tmp_path / "merged", shards=3)
+        )
+        with self.open(tmp_path / "s") as store, dest:
+            for key, result in headline_runs.items():
+                store.put(key, result)
+            assert merge_stores(store, dest) == len(headline_runs)
+            for copy in (store, dest):
+                for key, result in headline_runs.items():
+                    expected = result.summary().as_dict()
+                    assert copy.summary(key) == expected
+                    assert copy.get(key).summary().as_dict() == expected
+
+    def test_summary_counts_hits_and_misses_like_get(self, tmp_path):
+        with self.open(tmp_path / "s") as store:
+            store.put("a" * 64, repro.run(FAST))
+            counters = {}
+            for read in (store.get, store.summary):
+                with telemetry.session() as tele:
+                    assert read("b" * 64) is None
+                    assert read("a" * 64) is not None
+                counters[read.__name__] = tele.counters
+        for name in ("get", "summary"):
+            assert counters[name]["store.hits"] == 1
+            assert counters[name]["store.misses"] == 1
+        assert counters["get"]["store.hit_bytes"] > 0
+        assert "store.hit_bytes" not in counters["summary"]  # no payload read
 
     def test_contains_len_fingerprints(self, tmp_path):
         result = repro.run(FAST)
@@ -239,6 +295,79 @@ class TestRunStoreOneFileDirectory(TestRunStore):
 class TestRunStoreThreeFileDirectory(TestRunStore):
     # "a"*64, "b"*64 and "c"*64 route to three different files.
     shards = 3
+
+
+def _damage(path, fingerprint, how):
+    """Overwrite one stored row's payload (or codec) in file ``path``."""
+    with sqlite3.connect(path) as conn:
+        blob, codec = conn.execute(
+            "SELECT payload, payload_codec FROM runs WHERE fingerprint = ?",
+            (fingerprint,),
+        ).fetchone()
+        payload, codec = {
+            "truncated": (blob[: len(blob) // 2], codec),
+            "not_zlib": (b"\x00 not a zlib stream", codec),
+            "short_header": (zlib.compress(b"\x01"), codec),
+            "bad_header_json": (zlib.compress(struct.pack("<I", 5) + b"{nope"), codec),
+            "short_arrays": (zlib.compress(zlib.decompress(blob)[:-8]), codec),
+            "unknown_codec": (blob, "lz4-f64-v9"),
+        }[how]
+        conn.execute(
+            "UPDATE runs SET payload = ?, payload_codec = ? WHERE fingerprint = ?",
+            (payload, codec, fingerprint),
+        )
+
+
+DAMAGE = (
+    "truncated", "not_zlib", "short_header", "bad_header_json",
+    "short_arrays", "unknown_codec",
+)
+
+
+class TestCorruptRows:
+    """A row whose payload cannot be decoded fails loudly, naming the
+    run and the file, on every path that decodes it."""
+
+    @staticmethod
+    def _store(tmp_path, shards):
+        if shards is None:
+            return RunStore(tmp_path / "s.sqlite")
+        return RunStore(tmp_path / "s", shards=shards)
+
+    @staticmethod
+    def _file(tmp_path, shards, fingerprint):
+        """The database file that holds ``fingerprint``."""
+        if shards is None:
+            return tmp_path / "s.sqlite"
+        return tmp_path / "s" / f"shard-{shard_index(fingerprint, shards):04d}.sqlite"
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    @pytest.mark.parametrize("how", DAMAGE)
+    def test_get_names_run_and_file(self, tmp_path, shards, how):
+        key = run_fingerprint(RunSpec(FAST))
+        with self._store(tmp_path, shards) as store:
+            execute_batch([RunSpec(FAST)], cache=store)
+            path = self._file(tmp_path, shards, key)
+            _damage(path, key, how)
+            with pytest.raises(StoreCorruptionError) as info:
+                store.get(key)
+            # Claim boundary: a summary-only read trusts the row.
+            assert store.summary(key) == repro.run(FAST).summary().as_dict()
+        assert key in str(info.value)
+        assert str(path) in str(info.value)
+        assert isinstance(info.value, ReproError)
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_replays_fail_loudly(self, tmp_path, shards):
+        spec = RunSpec(FAST)
+        key = run_fingerprint(spec)
+        with self._store(tmp_path, shards) as store:
+            execute_batch([spec], cache=store)
+            _damage(self._file(tmp_path, shards, key), key, "truncated")
+            with pytest.raises(StoreCorruptionError, match=key):
+                repro.run(FAST, cache=store)
+            with pytest.raises(StoreCorruptionError, match=key):
+                execute_batch([spec], cache=store)
 
 
 class TestCacheBinding:
