@@ -5,7 +5,8 @@ Exercises the deployment surface CI cares about, with no test
 harness in the loop:
 
 1. start ``python -m repro serve --port 0`` against a temporary store
-   and read the bound base URL from its first stdout line;
+   (one file, or an N-file directory with ``--store-shards N``) and
+   read the bound base URL from its first stdout line;
 2. ``GET /healthz`` answers ok;
 3. ``POST /v1/runs`` with a small fig2a spec returns 202 and the job
    polls through to ``done``;
@@ -13,14 +14,18 @@ harness in the loop:
    the same fingerprint and the polled job's ``result``; ``GET
    /v1/runs/{fp}`` returns that summary, and ``?trace=1`` a payload
    with the run's name;
-5. ``GET /v1/store/stats`` counts the stored run;
+5. ``GET /v1/store/stats`` counts the stored run, and its ``entries``
+   equal ``/healthz``'s ``executed_runs`` (every executed run was
+   stored by the worker that computed it);
 6. SIGINT shuts the server down cleanly (exit code 0).
 
-Exits non-zero with a diagnostic on any failure.  Uses only the
+Run as ``python scripts/service_smoke.py [--store-shards N]``.  Exits
+non-zero with a diagnostic on any failure.  Uses only the
 standard library on the client side (urllib) so it doubles as an
 integration check that the service speaks plain HTTP/JSON.
 """
 
+import argparse
 import json
 import os
 import signal
@@ -60,9 +65,21 @@ def fail(message, server=None):
     return 1
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--store-shards", type=int, default=None, metavar="N",
+        help="serve an N-file directory store (default: one file)",
+    )
+    args = parser.parse_args(argv)
     spec = scenario_to_dict(fig2_scenario("dos", horizon=60.0))
     with tempfile.TemporaryDirectory() as tmp:
+        store = ["--store", os.path.join(tmp, "smoke.sqlite")]
+        if args.store_shards is not None:
+            store = [
+                "--store", os.path.join(tmp, "smoke-shards"),
+                "--store-shards", str(args.store_shards),
+            ]
         server = subprocess.Popen(
             [
                 sys.executable,
@@ -73,8 +90,7 @@ def main():
                 "0",
                 "--workers",
                 "2",
-                "--store",
-                os.path.join(tmp, "smoke.sqlite"),
+                *store,
             ],
             stdout=subprocess.PIPE,
             text=True,
@@ -131,6 +147,14 @@ def main():
         status, stats = request("GET", base + "/v1/store/stats")
         if status != 200 or stats.get("entries") != 1:
             return fail(f"store stats: {status} {stats}", server)
+        if args.store_shards is not None and stats.get("shard_count") != args.store_shards:
+            return fail(f"store stats shard_count: {stats}", server)
+        status, health = request("GET", base + "/healthz")
+        if status != 200 or health.get("executed_runs") != stats["entries"]:
+            return fail(
+                f"executed_runs {health.get('executed_runs')} != stored "
+                f"entries {stats['entries']}", server,
+            )
 
         server.send_signal(signal.SIGINT)
         code = server.wait(timeout=30)

@@ -56,7 +56,7 @@ __all__ = ["ServiceApp", "serve", "serve_async"]
 #: Request-body keys that are execution knobs, not scenario fields —
 #: stripped before the remainder is treated as a flat spec dict.
 _KNOB_KEYS = ("scenario", "spec", "attack_enabled", "defended", "backend",
-              "cache", "workers", "wait")
+              "cache", "wait")
 
 Reply = Tuple[int, Any]
 
@@ -72,6 +72,9 @@ def _split_request(body: Any) -> Tuple[dict, Dict[str, Any]]:
     """
     if not isinstance(body, dict):
         raise HTTPError(400, "request body must be a JSON object")
+    if "workers" in body:  # a flat spec would carry it along, ignored
+        raise HTTPError(400, "'workers' is not a request knob (the pool "
+                        "size is set by `repro serve --workers`)")
     knobs = {key: body[key] for key in _KNOB_KEYS if key in body}
     spec = knobs.pop("scenario", knobs.pop("spec", None))
     if spec is None:
@@ -215,10 +218,13 @@ class ServiceApp:
 
     async def _post_run(self, request: Request) -> Reply:
         spec, knobs = _split_request(request.json())
+        wait = knobs.get("wait", False)
+        if not isinstance(wait, bool):
+            raise HTTPError(400, f"wait must be a boolean, got {wait!r}")
         submission = self.jobs.submit(
             spec,
-            attack_enabled=bool(knobs.get("attack_enabled", True)),
-            defended=bool(knobs.get("defended", True)),
+            attack_enabled=knobs.get("attack_enabled", True),
+            defended=knobs.get("defended", True),
             backend=knobs.get("backend"),
             cache=knobs.get("cache", "readwrite"),
         )
@@ -231,7 +237,7 @@ class ServiceApp:
                 "links": {"result": f"/v1/runs/{submission.fingerprint}"},
             }
         job = submission.job
-        if request.flag("wait") or bool(knobs.get("wait", False)):
+        if request.flag("wait") or wait:
             await job.done.wait()
             status = 200 if job.status == "done" else 500
             payload = job.as_dict()

@@ -13,9 +13,12 @@ The manager sits between the HTTP handlers and the execution engine:
   ``workers`` simulations at once) on a ``ProcessPoolExecutor``, so
   the event loop keeps serving requests while simulations run in
   worker processes;
-* completed results are written back to the
-  :class:`~repro.store.RunStore`, making every finished job a future
-  cache hit.
+* whoever computes a run stores it: each job runs through
+  :func:`~repro.simulation.batch.execute_batch` with its own
+  :class:`~repro.store.cache.CacheBinding` (a fresh handle on the
+  service's store), so the worker that simulates the run also writes
+  it, and only the summary dict travels back to the event loop.  A
+  finished ``readwrite`` job is a future cache hit.
 
 Single-flight is the load-shedding contract of the service: any number
 of concurrent identical requests cause exactly **one** engine
@@ -36,6 +39,7 @@ identical, only isolation and parallelism degrade.
 from __future__ import annotations
 
 import asyncio
+import copy
 import functools
 import itertools
 import time
@@ -54,10 +58,8 @@ from repro.simulation.batch import (
     execute_batch,
 )
 from repro.simulation.knobs import resolve_backend, validate_workers
-from repro.simulation.results import SimulationResult
-from repro.simulation.spec import scenario_from_dict, scenario_to_dict
-from repro.store.cache import CACHE_MODES
-from repro.store.fingerprint import run_fingerprint
+from repro.simulation.spec import scenario_from_dict
+from repro.store.cache import CACHE_MODES, CacheBinding
 from repro.store.runstore import RunStore
 
 __all__ = ["Job", "JobManager", "Submission", "compute_record"]
@@ -72,47 +74,48 @@ JOB_STATUSES = ("queued", "running", "done", "failed")
 MAX_RETAINED_JOBS = 4096
 
 #: An async runner substituted for the default pool execution —
-#: injection point for tests (counting stubs, fault injection).
+#: injection point for tests (counting stubs, fault injection).  Like
+#: ``compute_record(job.spec, job.backend, job.cache)``, it returns the
+#: summary dict as payload and stores the run when ``job.cache`` writes.
 Runner = Callable[["Job"], Awaitable[RunRecord]]
 
 
+def _summary(spec: RunSpec, result: Any) -> dict:
+    """Reduce a run to the summary dict the service replies with."""
+    return result.summary().as_dict()
+
+
 def compute_record(
-    spec_dict: dict, attack_enabled: bool, defended: bool, backend: str
+    spec: RunSpec, backend: str, cache: Optional[CacheBinding]
 ) -> RunRecord:
-    """Execute one run described by a spec dict.
+    """Execute one run; the record's payload is its summary dict.
 
     Module-level so it pickles into pool workers.  Delegates to
-    :func:`repro.simulation.batch.execute_batch` (workers=1, cache
-    off), so error capture, ``backend_used`` provenance and elapsed
-    accounting match every other execution path in the library.
+    :func:`repro.simulation.batch.execute_batch` (workers=1) with
+    ``cache`` as its binding — which it closes when the run ends — so
+    a ``readwrite`` run is stored right here, next to the engine, and
+    error capture, ``backend_used`` provenance and elapsed accounting
+    match every other execution path in the library.
     """
-    scenario = scenario_from_dict(spec_dict)
-    batch = execute_batch(
-        [
-            RunSpec(
-                scenario,
-                attack_enabled=attack_enabled,
-                defended=defended,
-                tag=scenario.name,
-            )
-        ],
-        workers=1,
-        backend=backend,
-    )
-    return batch.records[0]
+    return execute_batch(
+        [spec], workers=1, backend=backend, cache=cache, postprocess=_summary
+    ).records[0]
 
 
 @dataclass
 class Job:
-    """One queued-or-executing run and its observable lifecycle."""
+    """One queued-or-executing run and its observable lifecycle.
+
+    It carries the parsed spec and its own store binding, so the thread
+    or pool worker that runs it also stores it.
+    """
 
     job_id: str
     fingerprint: str
-    spec_dict: dict
-    attack_enabled: bool
-    defended: bool
+    spec: RunSpec
     backend: str
-    cache_mode: str
+    #: The job's own store handle (``None`` for ``cache="off"``).
+    cache: Optional[CacheBinding]
     status: str = "queued"
     #: Late identical requests folded onto this execution.
     coalesced: int = 0
@@ -237,7 +240,8 @@ class JobManager:
         accepts the library-wide modes: ``"readwrite"`` (default —
         serve hits, store results), ``"readonly"`` (serve hits, don't
         store), ``"off"`` (always execute, bypass the single-flight
-        table too, never store).  Raises
+        table too, never store).  ``attack_enabled`` and ``defended``
+        must be genuine booleans.  Raises
         :class:`~repro.exceptions.ConfigurationError` for an invalid
         spec or knob.
         """
@@ -245,14 +249,17 @@ class JobManager:
             raise ConfigurationError(
                 f"cache must be one of {', '.join(CACHE_MODES)}; got {cache!r}"
             )
+        for name, value in (("attack_enabled", attack_enabled), ("defended", defended)):
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be a boolean, got {value!r}")
         scenario = scenario_from_dict(spec_dict)
         spec = RunSpec(
             scenario,
-            attack_enabled=bool(attack_enabled),
-            defended=bool(defended),
+            attack_enabled=attack_enabled,
+            defended=defended,
             tag=scenario.name,
         )
-        fingerprint = run_fingerprint(spec)
+        fingerprint = spec._fingerprint
         assert fingerprint is not None  # declarative specs always fingerprint
         resolved_backend = resolve_backend(
             backend if backend is not None else self.backend
@@ -274,13 +281,13 @@ class JobManager:
         job = Job(
             job_id=f"job-{next(self._ids):06d}",
             fingerprint=fingerprint,
-            # Store the normalized round-tripped dict, not the caller's
-            # raw body, so what lands in the run store is canonical.
-            spec_dict=scenario_to_dict(scenario),
-            attack_enabled=bool(attack_enabled),
-            defended=bool(defended),
+            spec=spec,
             backend=resolved_backend,
-            cache_mode=cache,
+            # A fresh handle per job: sqlite connections cannot leave
+            # the thread that opened them.
+            cache=None if cache == "off" else CacheBinding(
+                copy.copy(self.store), mode=cache, owns_store=True
+            ),
         )
         self._jobs[job.job_id] = job
         if cache != "off":
@@ -336,20 +343,7 @@ class JobManager:
                 job.error = record.error
                 _telemetry.incr("service.failed")
             else:
-                result = record.payload
-                if job.cache_mode == "readwrite" and isinstance(
-                    result, SimulationResult
-                ):
-                    self.store.put(
-                        job.fingerprint,
-                        result,
-                        spec_dict=job.spec_dict,
-                        attack_enabled=job.attack_enabled,
-                        defended=job.defended,
-                        sensor_seed=job.spec_dict.get("sensor_seed"),
-                        horizon=job.spec_dict.get("horizon"),
-                    )
-                job.summary = result.summary().as_dict()
+                job.summary = record.payload
                 job.status = "done"
         except asyncio.CancelledError:
             job.status = "failed"
@@ -368,13 +362,7 @@ class JobManager:
         if self._runner is not None:
             return await self._runner(job)
         loop = asyncio.get_running_loop()
-        call = functools.partial(
-            compute_record,
-            job.spec_dict,
-            job.attack_enabled,
-            job.defended,
-            job.backend,
-        )
+        call = functools.partial(compute_record, job.spec, job.backend, job.cache)
         pool = self._ensure_pool()
         if pool is not None:
             try:

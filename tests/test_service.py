@@ -8,6 +8,9 @@ Covers the subsystem's load-bearing contracts:
 * failure races — late arrivals coalesced onto a failing in-flight run
   see the failure, and the next request retries fresh;
 * cache hits replay bit-identically through the HTTP surface;
+* whoever computes a run stores it — the job's thread or pool worker
+  writes the row, never the event loop, and the rows equal the ones
+  ``execute_batch`` writes;
 * the endpoint contract (statuses, payload shapes, 4xx behavior);
 * `repro cache stats --json` and `GET /v1/store/stats` share one
   serialization.
@@ -16,7 +19,10 @@ Covers the subsystem's load-bearing contracts:
 import asyncio
 import io
 import json
+import multiprocessing
+import os
 import sqlite3
+import threading
 
 import pytest
 
@@ -25,7 +31,8 @@ from repro import telemetry
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.service import ServiceApp, fetch_json, serve_async
-from repro.service.jobs import JobManager
+from repro.service import jobs as jobs_module
+from repro.service.jobs import JobManager, compute_record
 from repro.simulation.batch import RunRecord, RunSpec, execute_batch
 from repro.simulation.io import result_to_dict
 from repro.simulation.spec import scenario_from_dict, scenario_to_dict
@@ -42,6 +49,44 @@ TIMEOUT = 30.0
 
 def run_async(coro):
     return asyncio.run(asyncio.wait_for(coro, TIMEOUT * 2))
+
+
+def make_store(path, shards):
+    """A one-file store (``shards=None``) or an N-file directory store."""
+    if shards is None:
+        return RunStore(path.with_suffix(".sqlite"))
+    return RunStore(path, shards=shards)
+
+
+def stored_rows(store):
+    """Every stored row minus ``created_at`` (the one wall-clock column)."""
+    return sorted(
+        ({k: v for k, v in row.items() if k != "created_at"}
+         for row in store.iter_rows()),
+        key=lambda row: row["fingerprint"],
+    )
+
+
+def record_calls(monkeypatch, *names):
+    """Wrap ``RunStore`` methods; returns the ``(name, pid, thread)`` log."""
+    calls = []
+    for name in names:
+        original = getattr(RunStore, name)
+
+        def recorded(self, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, os.getpid(), threading.get_ident()))
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunStore, name, recorded)
+    return calls
+
+
+def _exit_in_pool_worker(spec, backend, cache):
+    """``compute_record`` stand-in that kills any pool worker running it
+    (a real process death); on a thread of the service it computes."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return compute_record(spec, backend, cache)
 
 
 class StubRunner:
@@ -65,20 +110,8 @@ class StubRunner:
             await asyncio.wait_for(self.gate.wait(), TIMEOUT)
         if self.fail:
             raise RuntimeError("injected engine failure")
-        scenario = scenario_from_dict(job.spec_dict)
-        result = repro.run(
-            scenario,
-            attack_enabled=job.attack_enabled,
-            defended=job.defended,
-        )
-        return RunRecord(
-            index=0,
-            tag=job.spec_dict.get("name", ""),
-            payload=result,
-            elapsed=0.0,
-            worker_pid=0,
-            backend_used="scalar",
-        )
+        # The executor both runs and (under a writing binding) stores.
+        return compute_record(job.spec, job.backend, job.cache)
 
     def release(self):
         if self.gate is None:
@@ -292,10 +325,7 @@ class TestSummaryReads:
 
     @pytest.mark.parametrize("shards", [None, 3])
     def test_malformed_fingerprint_is_400(self, tmp_path, shards):
-        store = (
-            RunStore(tmp_path / "service.sqlite") if shards is None
-            else RunStore(tmp_path / "svc", shards=shards)
-        )
+        store = make_store(tmp_path / "service", shards)
 
         async def scenario():
             app = await start_app(tmp_path, store=store)
@@ -493,6 +523,63 @@ class TestEndpointContract:
 
         run_async(scenario())
 
+    def test_non_boolean_knobs_are_400(self, tmp_path):
+        """Regression: ``{"attack_enabled": "false"}`` was coerced with
+        ``bool()`` and served the attacked run."""
+
+        async def scenario():
+            app = await start_app(tmp_path)
+            try:
+                port = app.port
+                for key, value in (
+                    ("attack_enabled", "false"),
+                    ("attack_enabled", 0),
+                    ("defended", "true"),
+                    ("wait", "yes"),
+                    ("wait", 1),
+                ):
+                    for body in ({**SPEC, key: value}, {"scenario": SPEC, key: value}):
+                        status, payload = await fetch_json(
+                            "127.0.0.1", port, "POST", "/v1/runs", body
+                        )
+                        assert status == 400, (body, payload)
+                        assert key in payload["error"]
+                        assert "boolean" in payload["error"]
+                assert app.jobs.executed_runs == 0
+
+                # Genuine booleans and the ?wait=1 query form still work.
+                status, undefended = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs?wait=1",
+                    {**SPEC, "defended": False},
+                )
+                assert status == 200 and undefended["status"] == "done"
+                status, attacked = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs",
+                    {**SPEC, "defended": True, "attack_enabled": True, "wait": True},
+                )
+                assert status == 200 and attacked["status"] == "done"
+                assert attacked["fingerprint"] != undefended["fingerprint"]
+            finally:
+                await stop_app(app)
+
+        run_async(scenario())
+
+    def test_workers_is_not_a_request_knob(self, tmp_path):
+        async def scenario():
+            app = await start_app(tmp_path)
+            try:
+                for body in ({**SPEC, "workers": 64}, {"scenario": SPEC, "workers": 64}):
+                    status, payload = await fetch_json(
+                        "127.0.0.1", app.port, "POST", "/v1/runs", body
+                    )
+                    assert status == 400, payload
+                    assert "workers" in payload["error"]
+                assert app.jobs.executed_runs == 0
+            finally:
+                await stop_app(app)
+
+        run_async(scenario())
+
     def test_invalid_sensor_seed_is_400(self, tmp_path):
         async def scenario():
             app = await start_app(tmp_path)
@@ -590,6 +677,167 @@ class TestProcessPool:
                 await stop_app(app)
 
         assert run_async(scenario()) == [(200, False), (200, False), (200, True)]
+
+    def test_worker_death_completes_on_the_thread_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool worker dying mid-run degrades the manager to threads:
+        the job completes there, that thread stores the run, and
+        ``/healthz`` reports why."""
+        monkeypatch.setattr(jobs_module, "compute_record", _exit_in_pool_worker)
+        writes = record_calls(monkeypatch, "put")
+
+        async def scenario():
+            app = await start_app(tmp_path, workers=1, executor="process")
+            try:
+                status, reply = await fetch_json(
+                    "127.0.0.1", app.port, "POST", "/v1/runs?wait=1", SPEC,
+                    timeout=TIMEOUT,
+                )
+                assert status == 200, reply
+                _, health = await fetch_json(
+                    "127.0.0.1", app.port, "GET", "/healthz"
+                )
+                return reply, health, threading.get_ident()
+            finally:
+                await stop_app(app)
+
+        with pytest.warns(RuntimeWarning, match="executing runs on threads"):
+            reply, health, loop_thread = run_async(scenario())
+        assert reply["status"] == "done"
+        assert reply["degraded_reason"].startswith("BrokenProcessPool")
+        assert health["degraded_reason"] == reply["degraded_reason"]
+        [(_, pid, thread)] = writes
+        assert pid == os.getpid() and thread != loop_thread
+        with RunStore(tmp_path / "service.sqlite") as store:
+            assert store.summary(reply["fingerprint"]) == reply["result"]
+
+
+#: Distinct miss bodies: toggles and seed all reach the stored row.
+BODIES = (
+    SPEC,
+    {**SPEC, "attack_enabled": False},
+    {**SPEC, "defended": False, "sensor_seed": 7},
+)
+
+
+class TestWhoeverComputesStores:
+    """Each job runs through ``execute_batch``'s cache binding: the
+    thread or pool worker that computes a run writes it, and only the
+    summary dict returns to the event loop."""
+
+    async def post_misses(self, app):
+        replies = []
+        for body in BODIES:
+            status, reply = await fetch_json(
+                "127.0.0.1", app.port, "POST", "/v1/runs?wait=1", body,
+                timeout=TIMEOUT,
+            )
+            assert status == 200 and reply["cache_hit"] is False, reply
+            replies.append(reply)
+        return replies
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_rows_equal_execute_batch_rows(self, tmp_path, executor, shards):
+        store = make_store(tmp_path / "service", shards)
+
+        async def scenario():
+            app = await start_app(
+                tmp_path, store=store, executor=executor, workers=1
+            )
+            try:
+                return await self.post_misses(app)
+            finally:
+                await stop_app(app)
+
+        replies = run_async(scenario())
+        specs = [
+            RunSpec(
+                scenario_from_dict(body),
+                attack_enabled=body.get("attack_enabled", True),
+                defended=body.get("defended", True),
+            )
+            for body in BODIES
+        ]
+        with make_store(tmp_path / "library", shards) as library:
+            execute_batch(specs, cache=library, backend="scalar")
+            expected = stored_rows(library)
+        with make_store(tmp_path / "service", shards) as served:
+            assert stored_rows(served) == expected
+            # A miss answers with exactly the summary the row stores.
+            for reply in replies:
+                assert reply["result"] == served.summary(reply["fingerprint"])
+        assert [reply["fingerprint"] for reply in replies] == [
+            spec._fingerprint for spec in specs
+        ]
+
+    def test_the_loop_thread_never_writes(self, tmp_path, monkeypatch):
+        writes = record_calls(monkeypatch, "put")
+
+        async def scenario():
+            app = await start_app(tmp_path)
+            try:
+                await self.post_misses(app)
+                return threading.get_ident()
+            finally:
+                await stop_app(app)
+
+        loop_thread = run_async(scenario())
+        assert len(writes) == len(BODIES)
+        assert all(thread != loop_thread for _, _, thread in writes)
+
+    def test_readonly_writes_nothing_and_off_touches_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        calls = record_calls(monkeypatch, "get", "summary", "put")
+
+        async def scenario():
+            app = await start_app(tmp_path)
+            try:
+                port = app.port
+                status, readonly = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs?wait=1",
+                    {**SPEC, "cache": "readonly"},
+                )
+                assert status == 200 and readonly["status"] == "done"
+                assert "put" not in {name for name, _, _ in calls}
+                calls.clear()
+                status, off = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs?wait=1",
+                    {**SPEC, "cache": "off"},
+                )
+                assert status == 200 and off["status"] == "done"
+                assert calls == []
+                assert off["result"] == readonly["result"]
+                return len(app.store)
+            finally:
+                await stop_app(app)
+
+        assert run_async(scenario()) == 0
+
+    def test_injected_runner_stores_through_the_binding(self, tmp_path):
+        """The stub runner only counts and delegates: a hit after its
+        miss proves the executor wrote the run."""
+        runner = StubRunner()
+
+        async def scenario():
+            app = await start_app(tmp_path, runner=runner)
+            try:
+                port = app.port
+                _, miss = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs?wait=1", SPEC
+                )
+                status, hit = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs", SPEC
+                )
+                assert status == 200 and hit["cache_hit"] is True
+                assert hit["result"] == miss["result"]
+            finally:
+                await stop_app(app)
+
+        run_async(scenario())
+        assert runner.calls == 1
 
 
 class TestDirectoryStore:
@@ -689,6 +937,19 @@ class TestJobManager:
             )
             with pytest.raises(ConfigurationError, match="cache"):
                 manager.submit(SPEC, cache="sometimes")
+            await manager.close()
+
+        run_async(scenario())
+
+    def test_rejects_non_boolean_toggles(self, tmp_path):
+        async def scenario():
+            manager = JobManager(
+                RunStore(tmp_path / "s.sqlite"), executor="thread"
+            )
+            for knob in ("attack_enabled", "defended"):
+                with pytest.raises(ConfigurationError, match=knob):
+                    manager.submit(SPEC, **{knob: "false"})
+            assert manager.executed_runs == 0
             await manager.close()
 
         run_async(scenario())

@@ -5,6 +5,7 @@ writers.  The API contract every layout shares is in test_store.py."""
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +18,7 @@ from repro import fig2_scenario, telemetry
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.simulation import RunSpec, execute_batch
+from repro.simulation.io import result_to_dict
 from repro.store import (
     MANIFEST_NAME,
     SHARD_LAYOUT,
@@ -29,6 +31,14 @@ from repro.store import (
 from repro.store.runstore import MAX_SHARDS
 
 FAST = fig2_scenario("dos", horizon=20.0)
+
+
+def _exit_in_child(spec, result):
+    """Reducer that kills any pool worker running it (a real process
+    death, not a fake pool); in the calling process it is the identity."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return result
 
 
 def _fp(i: int) -> str:
@@ -433,6 +443,34 @@ class TestBatchWorkerWrites:
                         == b.payload.traces[name].times
                     )
                 assert a.payload.detection_events == b.payload.detection_events
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_worker_death_degrades_and_stores_each_run_once(self, tmp_path, shards):
+        """A pool worker dying mid-run breaks the pool: the batch re-runs
+        serially, warns, stores every run exactly once and returns the
+        serial payloads."""
+        specs = self._specs(3)
+        store = (
+            RunStore(tmp_path / "one.sqlite") if shards is None
+            else RunStore(tmp_path / "three", shards=shards)
+        )
+        with store:
+            with pytest.warns(RuntimeWarning, match="re-running the 3-spec batch"):
+                batch = execute_batch(
+                    specs, workers=2, cache=store, backend="scalar",
+                    postprocess=_exit_in_child,
+                )
+            assert not batch.parallel
+            assert batch.degraded_reason.startswith("BrokenProcessPool")
+            assert all(record.ok for record in batch.records)
+            assert store.fingerprints() == sorted(s._fingerprint for s in specs)
+            assert len(list(store.iter_rows())) == len(specs)
+        serial = execute_batch(
+            specs, workers=1, backend="scalar", postprocess=_exit_in_child
+        )
+        assert [result_to_dict(p) for p in batch.payloads()] == [
+            result_to_dict(p) for p in serial.payloads()
+        ]
 
     def test_readonly_sharded_binding_never_writes(self, tmp_path):
         specs = self._specs(2)
