@@ -105,6 +105,7 @@ from repro.simulation import (
     DefenseConfig,
     FigureData,
     MonteCarloSummary,
+    PANELS,
     PlatoonResult,
     PlatoonScenario,
     PlatoonSimulation,
@@ -117,6 +118,7 @@ from repro.simulation import (
     execute_batch,
     fig2_scenario,
     fig3_scenario,
+    panel_scenario,
     paper_challenge_times,
     run_many,
 )
@@ -231,6 +233,8 @@ __all__ = [
     "FigureData",
     "fig2_scenario",
     "fig3_scenario",
+    "PANELS",
+    "panel_scenario",
     "paper_challenge_times",
     "run",
     "MonteCarloSummary",

@@ -79,28 +79,30 @@ def compare_defenses(
 ) -> List[dict]:
     """Run every defense variant on ``scenario`` and tabulate the outcome.
 
-    ``workers`` / ``cache`` / ``backend`` follow :func:`repro.run`.
+    The variants (:func:`defense_variants`, all attacked) execute as one
+    :func:`~repro.simulation.batch.run_many` batch, so ``workers`` fans
+    them out over a process pool; ``cache`` / ``backend`` follow
+    :func:`repro.run`, and the rows are identical for every value.
     ``backend="vectorized"`` is downgraded to ``"auto"``: the stateful
     strategies are scalar-only by design (the blocker names them), so a
     hard vectorized demand could never run the full table.
     """
-    from repro.facade import run
+    from repro.simulation.batch import RunSpec, run_many
 
     if backend == "vectorized":
         backend = "auto"
-    if cache is None:
-        cache = "off"
+    variants = defense_variants(scenario)
+    results = run_many(
+        [
+            RunSpec(variant, attack_enabled=True, defended=defended, tag=label)
+            for label, variant, defended in variants
+        ],
+        workers=workers,
+        cache=cache,
+        backend=backend,
+    )
     rows: List[dict] = []
-    for label, variant, defended in defense_variants(scenario):
-        result = run(
-            variant,
-            mode="single",
-            workers=workers,
-            attack_enabled=True,
-            defended=defended,
-            cache=cache,
-            backend=backend,
-        )
+    for (label, _, _), result in zip(variants, results):
         detection_times = result.detection_times
         stats = result.defense_stats or {}
         rows.append(

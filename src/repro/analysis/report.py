@@ -14,24 +14,50 @@ from typing import Any, List, Optional, Sequence
 from repro import telemetry as _telemetry
 from repro.analysis.metrics import detection_confusion
 
-__all__ = ["build_report"]
-
-_PANELS = (
-    ("fig2a", "Figure 2a — DoS, constant leader deceleration"),
-    ("fig2b", "Figure 2b — delay injection, constant leader deceleration"),
-    ("fig3a", "Figure 3a — DoS, decelerate-then-accelerate leader"),
-    ("fig3b", "Figure 3b — delay injection, decelerate-then-accelerate leader"),
-)
+__all__ = ["build_report", "figure_panel_rows"]
 
 
-def _panel_scenario(identifier: str):
+def figure_panel_rows(
+    workers: int = 1, cache: Any = "off", backend: Optional[str] = None
+) -> List[dict]:
+    """The paper-vs-measured row of each figure panel, in panel order.
+
+    Runs the (baseline, attacked, defended) triple of every panel in
+    :data:`~repro.simulation.scenario.PANELS` and reports detection
+    time, false positives / negatives and the attacked and defended
+    minimum gaps.  ``workers`` / ``cache`` / ``backend`` pass through to
+    :func:`repro.run` untouched; the rows are identical for every value.
+    Both ``repro report`` tables (the CLI summary and
+    :func:`build_report`'s "Figure panels" section) are these rows.
+    """
     # Imported lazily: analysis is a dependency of simulation, so a
     # module-level import here would be circular.
-    from repro.simulation.scenario import fig2_scenario, fig3_scenario
+    from repro.facade import run
+    from repro.simulation.scenario import PANELS, panel_scenario
 
-    factory = fig2_scenario if identifier.startswith("fig2") else fig3_scenario
-    attack = "dos" if identifier.endswith("a") else "delay"
-    return factory(attack)
+    rows = []
+    for panel in PANELS:
+        scenario = panel_scenario(panel)
+        with _telemetry.span("report.panel", panel=panel):
+            data = run(
+                scenario, mode="figure", workers=workers, cache=cache, backend=backend
+            )
+        confusion = detection_confusion(
+            data.defended.detection_events, scenario.attack
+        )
+        rows.append(
+            {
+                "panel": panel,
+                "detection_s": data.detection_time(),
+                "FP": confusion.false_positives,
+                "FN": confusion.false_negatives,
+                "attacked_min_gap_m": round(data.attacked.min_gap(), 1),
+                "attacked_collided": data.attacked.collided,
+                "defended_min_gap_m": round(data.defended.min_gap(), 1),
+                "defended_collided": data.defended.collided,
+            }
+        )
+    return rows
 
 
 def _markdown_table(rows: List[dict]) -> str:
@@ -86,8 +112,8 @@ def build_report(
         through to every panel triple and seed sweep; the report text
         is byte-identical across backends.
     """
-    from repro.facade import run
     from repro.simulation.monte_carlo import run_monte_carlo
+    from repro.simulation.scenario import panel_scenario
 
     sections: List[str] = [
         "# Reproduction report",
@@ -101,29 +127,7 @@ def build_report(
         "",
     ]
 
-    cache = None if cache == "off" else cache
-    panel_rows = []
-    for identifier, _title in _PANELS:
-        scenario = _panel_scenario(identifier)
-        with _telemetry.span("report.panel", panel=identifier):
-            data = run(
-                scenario, mode="figure", workers=workers, cache=cache, backend=backend
-            )
-        confusion = detection_confusion(
-            data.defended.detection_events, scenario.attack
-        )
-        panel_rows.append(
-            {
-                "panel": identifier,
-                "detection_s": data.detection_time(),
-                "FP": confusion.false_positives,
-                "FN": confusion.false_negatives,
-                "attacked_min_gap_m": round(data.attacked.min_gap(), 1),
-                "attacked_collided": data.attacked.collided,
-                "defended_min_gap_m": round(data.defended.min_gap(), 1),
-                "defended_collided": data.defended.collided,
-            }
-        )
+    panel_rows = figure_panel_rows(workers=workers, cache=cache, backend=backend)
     sections.append(_markdown_table(panel_rows))
 
     sections.extend(
@@ -143,7 +147,7 @@ def build_report(
 
     with _telemetry.span("report.defense_comparison", panel="fig2a"):
         defense_rows = compare_defenses(
-            _panel_scenario("fig2a"),
+            panel_scenario("fig2a"),
             workers=workers,
             cache=cache,
             backend=backend,
@@ -154,7 +158,7 @@ def build_report(
         sections.extend(["", "## Seed robustness", ""])
         seed_rows = []
         for identifier in ("fig2a", "fig2b"):
-            scenario = _panel_scenario(identifier)
+            scenario = panel_scenario(identifier)
             with _telemetry.span("report.seed_sweep", panel=identifier):
                 summary = run_monte_carlo(
                     scenario,

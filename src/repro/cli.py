@@ -84,7 +84,7 @@ from typing import List, Optional
 from repro.analysis import ascii_plot, detection_confusion, render_table
 from repro.analysis.experiments import REGISTRY, experiments_table, get_experiment
 from repro.facade import run as run_experiment
-from repro.simulation import fig2_scenario, fig3_scenario
+from repro.simulation import PANELS, panel_scenario
 from repro.simulation.knobs import BACKENDS
 
 __all__ = ["main", "build_parser"]
@@ -106,14 +106,6 @@ def _int_at_least(minimum: int):
 
 
 _positive_int = _int_at_least(1)
-
-
-_FIGURE_FACTORIES = {
-    "fig2a": lambda: fig2_scenario("dos"),
-    "fig2b": lambda: fig2_scenario("delay"),
-    "fig3a": lambda: fig3_scenario("dos"),
-    "fig3b": lambda: fig3_scenario("delay"),
-}
 
 
 def _add_defense_arg(parser: argparse.ArgumentParser) -> None:
@@ -322,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cells",
         default="fig2a,fig2b",
         help="comma-separated figure scenario ids "
-        f"({', '.join(sorted(_FIGURE_FACTORIES))}; default: fig2a,fig2b)",
+        f"({', '.join(PANELS)}; default: fig2a,fig2b)",
     )
     sweep_run.add_argument(
         "--metric",
@@ -480,7 +472,7 @@ def _run_figure(
     backend: Optional[str] = None,
     defense: Optional[str] = None,
 ) -> int:
-    scenario = _FIGURE_FACTORIES[identifier]().with_overrides(sensor_seed=seed)
+    scenario = panel_scenario(identifier).with_overrides(sensor_seed=seed)
     data = run_experiment(
         scenario,
         mode="figure",
@@ -540,43 +532,6 @@ def _run_figure(
             ),
             file=out,
         )
-    return 0
-
-
-def _run_report(
-    out, workers: int = 1, cache: str = "off", backend: Optional[str] = None
-) -> int:
-    rows = []
-    for identifier in ("fig2a", "fig2b", "fig3a", "fig3b"):
-        scenario = _FIGURE_FACTORIES[identifier]()
-        data = run_experiment(
-            scenario, mode="figure", workers=workers, cache=cache, backend=backend
-        )
-        confusion = detection_confusion(
-            data.defended.detection_events, scenario.attack
-        )
-        rows.append(
-            {
-                "panel": identifier,
-                "detection_s": data.detection_time(),
-                "FP": confusion.false_positives,
-                "FN": confusion.false_negatives,
-                "attacked_min_gap_m": round(data.attacked.min_gap(), 1),
-                "attacked_collided": data.attacked.collided,
-                "defended_min_gap_m": round(data.defended.min_gap(), 1),
-                "defended_collided": data.defended.collided,
-            }
-        )
-    print(
-        render_table(
-            rows,
-            title=(
-                "Paper-vs-measured summary (paper: detection at 182 s, "
-                "zero FP/FN, safe recovery)"
-            ),
-        ),
-        file=out,
-    )
     return 0
 
 
@@ -640,11 +595,11 @@ def _run_sweep(args: argparse.Namespace, out, err) -> int:
     from repro.simulation.sweep import SweepCell, run_sweep
 
     keys = [key.strip() for key in args.cells.split(",") if key.strip()]
-    unknown = [key for key in keys if key not in _FIGURE_FACTORIES]
+    unknown = [key for key in keys if key not in PANELS]
     if unknown:
         print(
             f"unknown sweep cells: {', '.join(unknown)} "
-            f"(choose from {', '.join(sorted(_FIGURE_FACTORIES))})",
+            f"(choose from {', '.join(PANELS)})",
             file=err,
         )
         return 2
@@ -653,7 +608,7 @@ def _run_sweep(args: argparse.Namespace, out, err) -> int:
         return 2
     cells = []
     for key in keys:
-        scenario = _FIGURE_FACTORIES[key]()
+        scenario = panel_scenario(key)
         if args.horizon is not None:
             scenario = scenario.with_overrides(horizon=args.horizon)
         cells.append(SweepCell(key=key, scenario=scenario))
@@ -764,7 +719,7 @@ def _dispatch(args: argparse.Namespace, out, err) -> int:
         except KeyError as exc:
             print(str(exc), file=err)
             return 2
-        if args.experiment in _FIGURE_FACTORIES:
+        if args.experiment in PANELS:
             from repro.exceptions import ConfigurationError
 
             try:
@@ -824,23 +779,29 @@ def _dispatch(args: argparse.Namespace, out, err) -> int:
         return 0
 
     if args.command == "report":
+        from repro.analysis.report import build_report, figure_panel_rows
+
+        knobs = dict(
+            workers=args.workers, cache=_cache_mode(args), backend=args.backend
+        )
         if args.markdown is not None:
             from pathlib import Path
 
-            from repro.analysis.report import build_report
-
             seeds = list(range(args.seeds)) if args.seeds else None
-            Path(args.markdown).write_text(
-                build_report(
-                    seeds=seeds,
-                    workers=args.workers,
-                    cache=_cache_mode(args),
-                    backend=args.backend,
-                )
-            )
+            Path(args.markdown).write_text(build_report(seeds=seeds, **knobs))
             print(f"wrote {args.markdown}", file=out)
             return 0
-        return _run_report(out, args.workers, _cache_mode(args), args.backend)
+        print(
+            render_table(
+                figure_panel_rows(**knobs),
+                title=(
+                    "Paper-vs-measured summary (paper: detection at 182 s, "
+                    "zero FP/FN, safe recovery)"
+                ),
+            ),
+            file=out,
+        )
+        return 0
 
     if args.command == "cache":
         return _run_cache(args, out, err)

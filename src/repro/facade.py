@@ -31,10 +31,12 @@ finished scenario rather than a bag of kwargs.
 
 Parallelism
 -----------
-``workers`` fans independent runs (the figure triple, Monte-Carlo
-seeds) out over a process pool via :mod:`repro.simulation.batch`;
-results are bit-identical to ``workers=1``.  Modes with a single run
-ignore it.
+Every mode hands its runs, with ``workers`` / ``cache`` / ``backend``
+untouched, to :func:`~repro.simulation.batch.execute_batch`, the one
+place that validates those knobs, binds the run store and picks the
+engine.  ``workers`` fans independent runs out over a process pool;
+the batch clamps it to its run count, so a single run stays
+in-process.  Results are bit-identical to ``workers=1``.
 
 Backends
 --------
@@ -56,10 +58,8 @@ from repro.exceptions import ConfigurationError
 from repro.simulation import batch as _batch
 from repro.simulation import monte_carlo as _monte_carlo
 from repro.simulation import sweep as _sweep
-from repro.simulation.engine import CarFollowingSimulation
-from repro.simulation.knobs import resolve_backend, validate_workers
 from repro.simulation.monte_carlo import MonteCarloSummary
-from repro.simulation.platoon import PlatoonResult, PlatoonScenario, PlatoonSimulation
+from repro.simulation.platoon import PlatoonResult, PlatoonScenario
 from repro.simulation.results import FigureData, SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.simulation.sweep import SweepCell, SweepResult
@@ -67,6 +67,16 @@ from repro.simulation.sweep import SweepCell, SweepResult
 __all__ = ["run"]
 
 _MODES = ("single", "figure", "monte_carlo", "platoon", "sweep")
+
+#: ``(tag, attack_enabled, defended)`` of the runs a figure overlays.
+#: They share the scenario's sensor seed so noise aligns across the
+#: overlay; their toggles differ, so ``"auto"`` keeps them scalar while
+#: ``"vectorized"`` runs each as its own group.
+_FIGURE_TRIPLE = (
+    ("baseline", False, False),
+    ("attacked", True, False),
+    ("defended", True, True),
+)
 
 
 def _resolve_scenario(
@@ -87,11 +97,6 @@ def _resolve_scenario(
         "scenario_or_spec must be a Scenario, PlatoonScenario, spec dict "
         f"or spec path, got {type(scenario_or_spec).__name__}"
     )
-
-
-def _cache_active(cache: Any) -> bool:
-    """Whether a ``cache=`` argument engages the run store at all."""
-    return cache is not None and cache != "off"
 
 
 def run(
@@ -129,11 +134,13 @@ def run(
           :class:`~repro.simulation.sweep.SweepResult`; configured via
           ``sweep``.
     workers:
-        Process count for modes with independent runs (``"figure"``,
-        ``"monte_carlo"``); results are identical to ``workers=1``.
+        Process count, passed to the batch, which clamps it to the
+        number of runs (so ``"single"`` and ``"platoon"`` always run
+        in-process); results are identical to ``workers=1``.
     seeds:
-        Monte-Carlo seeds: an explicit sequence, or an ``int`` N to
-        derive N seeds deterministically from the scenario's
+        Monte-Carlo seeds for ``mode="monte_carlo"`` (any other mode
+        rejects them): an explicit non-empty sequence, or an ``int``
+        N >= 1 to derive N seeds deterministically from the scenario's
         ``sensor_seed`` (via :func:`repro.simulation.derive_seeds`).
     attack_enabled, defended:
         Run toggles for ``"single"`` and ``"monte_carlo"`` (the figure
@@ -175,10 +182,13 @@ def run(
         ``attack_enabled`` / ``defended`` toggles.  ``workers`` /
         ``cache`` / ``backend`` come from the facade arguments, not
         the dict.
+
+    A bad argument raises :class:`~repro.exceptions.ConfigurationError`
+    before any run starts.  A failed run raises the batch's
+    :class:`~repro.exceptions.SimulationError` (``"1/1 batch runs
+    failed; … ExcType: message"``) in every mode.
     """
     scenario = _resolve_scenario(scenario_or_spec)
-    workers = validate_workers(workers)
-    backend = resolve_backend(backend)
 
     if defense is not None:
         from dataclasses import replace as _replace
@@ -210,107 +220,77 @@ def run(
             f"mode {mode!r} does not fit scenario type "
             f"{type(scenario).__name__}"
         )
-    if mode == "platoon" and backend == "vectorized":
-        raise ConfigurationError(
-            "backend='vectorized' cannot run platoon scenarios (the "
-            "N-follower chain couples its runs); use backend='scalar' "
-            "or 'auto'"
-        )
-    if sweep is not None and mode != "sweep":
-        raise ConfigurationError(
-            f"the sweep= argument only applies to mode='sweep' (got "
-            f"mode={mode!r})"
-        )
+    for name, value, owner in (
+        ("sweep", sweep, "sweep"),
+        ("seeds", seeds, "monte_carlo"),
+    ):
+        if value is not None and mode != owner:
+            raise ConfigurationError(
+                f"the {name}= argument only applies to mode={owner!r} "
+                f"(got mode={mode!r})"
+            )
 
     # PlatoonScenario has no name field; fall back to the type name.
     label = getattr(scenario, "name", type(scenario).__name__)
     with _telemetry.span("facade.run", mode=mode, scenario=label):
-        if mode == "single":
-            if _cache_active(cache) or backend == "vectorized":
-                (result,) = _batch.run_many(
-                    [
-                        _batch.RunSpec(
-                            scenario,
-                            attack_enabled=attack_enabled,
-                            defended=defended,
-                            tag=scenario.name,
-                        )
-                    ],
-                    cache=cache if _cache_active(cache) else None,
-                    backend=backend,
-                )
-                return result
-            # "auto" keeps a lone run on the scalar engine (a vector
-            # group of one has no lock-step win), so the scalar path
-            # handles both "scalar" and "auto".
-            return CarFollowingSimulation(
-                scenario, attack_enabled=attack_enabled, defended=defended
-            ).run()
-        if mode == "figure":
-            # The triple shares the scenario's sensor seed so noise
-            # aligns across the overlay.  Its runs differ in their
-            # toggles, so "auto" keeps them scalar while "vectorized"
-            # runs each as its own group.
-            baseline, attacked, defended_run = _batch.run_many(
+        if mode in ("single", "platoon", "figure"):
+            toggles = (
+                _FIGURE_TRIPLE
+                if mode == "figure"
+                else ((label, attack_enabled, defended),)
+            )
+            results = _batch.run_many(
                 [
-                    _batch.RunSpec(
-                        scenario, attack_enabled=False, defended=False, tag="baseline"
-                    ),
-                    _batch.RunSpec(
-                        scenario, attack_enabled=True, defended=False, tag="attacked"
-                    ),
-                    _batch.RunSpec(
-                        scenario, attack_enabled=True, defended=True, tag="defended"
-                    ),
+                    _batch.RunSpec(scenario, attack_enabled=a, defended=d, tag=tag)
+                    for tag, a, d in toggles
                 ],
                 workers=workers,
-                cache=cache if _cache_active(cache) else None,
+                cache=cache,
                 backend=backend,
             )
-            return FigureData(
-                scenario=scenario,
-                baseline=baseline,
-                attacked=attacked,
-                defended=defended_run,
-            )
+            return FigureData(scenario, *results) if mode == "figure" else results[0]
         if mode == "monte_carlo":
             if seeds is None:
                 raise ConfigurationError("mode='monte_carlo' requires seeds")
             if isinstance(seeds, int):
                 seeds = _batch.derive_seeds(scenario.sensor_seed, seeds)
+            seeds = list(seeds)
+            if not seeds:
+                raise ConfigurationError(
+                    "seeds must name at least one seed (a count >= 1 or a "
+                    "non-empty sequence)"
+                )
             return _monte_carlo.run_monte_carlo(
                 scenario,
                 seeds,
                 attack_enabled=attack_enabled,
                 defended=defended,
                 workers=workers,
-                cache=cache if _cache_active(cache) else None,
+                cache=cache,
                 backend=backend,
             )
-        if mode == "sweep":
-            options = dict(sweep or {})
-            for reserved in ("workers", "cache", "backend"):
-                if reserved in options:
-                    raise ConfigurationError(
-                        f"pass {reserved}= as a run() argument, not inside "
-                        f"the sweep dict"
-                    )
-            cells = options.pop("cells", None)
-            if cells is None:
-                cells = [
-                    SweepCell(
-                        key=label,
-                        scenario=scenario,
-                        attack_enabled=attack_enabled,
-                        defended=defended,
-                    )
-                ]
-            return _sweep.run_sweep(
-                cells,
-                workers=workers,
-                cache=cache if _cache_active(cache) else None,
-                backend=backend,
-                **options,
-            )
-        return PlatoonSimulation(scenario, attack_enabled=attack_enabled).run()
-
+        # mode == "sweep"
+        options = dict(sweep or {})
+        for reserved in ("workers", "cache", "backend"):
+            if reserved in options:
+                raise ConfigurationError(
+                    f"pass {reserved}= as a run() argument, not inside "
+                    f"the sweep dict"
+                )
+        cells = options.pop("cells", None)
+        if cells is None:
+            cells = [
+                SweepCell(
+                    key=label,
+                    scenario=scenario,
+                    attack_enabled=attack_enabled,
+                    defended=defended,
+                )
+            ]
+        return _sweep.run_sweep(
+            cells,
+            workers=workers,
+            cache=cache,
+            backend=backend,
+            **options,
+        )

@@ -26,6 +26,8 @@ from repro.simulation.scenario import (
     paper_challenge_times,
     fig2_scenario,
     fig3_scenario,
+    PANELS,
+    panel_scenario,
 )
 from repro.simulation.engine import CarFollowingSimulation
 from repro.simulation.results import FigureData, SimulationResult, ResultSummary
@@ -82,6 +84,8 @@ __all__ = [
     "paper_challenge_times",
     "fig2_scenario",
     "fig3_scenario",
+    "PANELS",
+    "panel_scenario",
     "CarFollowingSimulation",
     "SimulationResult",
     "ResultSummary",

@@ -221,12 +221,14 @@ def derive_seeds(base_seed: int, n: int) -> Tuple[int, ...]:
     the derived streams are pairwise independent.
 
     Both arguments must be genuine integers (numpy integer scalars are
-    fine); ``n`` must be non-negative (``n=0`` yields an empty tuple).
-    Invalid inputs raise :class:`~repro.exceptions.ConfigurationError`
-    up front rather than an opaque NumPy error from deep inside
-    ``SeedSequence``.
+    fine, booleans are not); ``n`` must be non-negative (``n=0`` yields
+    an empty tuple).  Invalid inputs raise
+    :class:`~repro.exceptions.ConfigurationError` up front rather than
+    an opaque NumPy error from deep inside ``SeedSequence``.
     """
     try:
+        if isinstance(base_seed, bool):  # an int subclass, but not a seed
+            raise TypeError
         base = operator.index(base_seed)
     except TypeError:
         raise ConfigurationError(
@@ -234,6 +236,8 @@ def derive_seeds(base_seed: int, n: int) -> Tuple[int, ...]:
             f"({type(base_seed).__name__})"
         ) from None
     try:
+        if isinstance(n, bool):
+            raise TypeError
         count = operator.index(n)
     except TypeError:
         raise ConfigurationError(

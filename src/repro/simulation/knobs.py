@@ -13,7 +13,10 @@ them — accepts the same three knobs with the same semantics:
 This module is the single source of truth for what the ``workers`` and
 ``backend`` knobs accept; a bad value raises
 :class:`~repro.exceptions.ConfigurationError` naming the knob and the
-allowed values, at every layer identically.  (``cache=`` validation
+allowed values, at every layer identically: every layer passes the
+knobs down untouched, and only
+:func:`~repro.simulation.batch.execute_batch` (plus the service's job
+manager, for its defaults) validates them.  (``cache=`` validation
 lives with the store in :mod:`repro.store.cache`, same error contract.)
 
 Backends
@@ -80,6 +83,8 @@ def validate_workers(workers: Any) -> int:
     the knob and the constraint, identically at every entrypoint.
     """
     try:
+        if isinstance(workers, bool):  # an int subclass, but not a count
+            raise TypeError
         value = operator.index(workers)
     except TypeError:
         raise ConfigurationError(

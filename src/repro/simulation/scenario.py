@@ -43,6 +43,8 @@ __all__ = [
     "paper_challenge_times",
     "fig2_scenario",
     "fig3_scenario",
+    "PANELS",
+    "panel_scenario",
     "PAPER_DOS_ATTACK_START",
     "PAPER_DELAY_ATTACK_START",
     "PAPER_HORIZON",
@@ -412,3 +414,23 @@ def fig3_scenario(attack: str = "dos", **overrides) -> Scenario:
         horizon=horizon,
     )
     return scenario.with_overrides(**overrides) if overrides else scenario
+
+
+#: The paper's four figure panels, in report order: Figure 2 / 3 with
+#: the DoS ("a") and delay-injection ("b") attack.
+PANELS = ("fig2a", "fig2b", "fig3a", "fig3b")
+
+
+def panel_scenario(panel: str) -> Scenario:
+    """The scenario of one figure panel named in :data:`PANELS`.
+
+    ``"fig2a"`` is ``fig2_scenario("dos")``, ``"fig3b"`` is
+    ``fig3_scenario("delay")``, and so on.  Any other id raises
+    :class:`~repro.exceptions.ConfigurationError`.
+    """
+    if panel not in PANELS:
+        raise ConfigurationError(
+            f"panel must be one of {', '.join(PANELS)}; got {panel!r}"
+        )
+    factory = fig2_scenario if panel.startswith("fig2") else fig3_scenario
+    return factory("dos" if panel.endswith("a") else "delay")

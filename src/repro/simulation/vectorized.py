@@ -96,7 +96,10 @@ def vectorization_blocker(spec) -> Optional[str]:
     """
     scenario = spec.scenario
     if not isinstance(scenario, Scenario):
-        return f"scenario type {type(scenario).__name__} is not vectorizable"
+        return (
+            f"scenario type {type(scenario).__name__} is not vectorizable "
+            "(a platoon couples its followers' runs)"
+        )
     if scenario.follower_policy != "acc":
         return f"follower policy {scenario.follower_policy!r} is not vectorized"
     if scenario.adaptive_challenge_period is not None:

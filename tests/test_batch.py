@@ -67,6 +67,11 @@ class TestExecuteBatch:
         (result,) = run_many([RunSpec(scenario, attack_enabled=False)])
         assert result.n_followers == 2
 
+    @pytest.mark.parametrize("workers", [True, False])
+    def test_workers_must_not_be_boolean(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be an integer"):
+            execute_batch([RunSpec(FAST)], workers=workers)
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="workers must be"):
             execute_batch([RunSpec(FAST)], workers=0)
@@ -195,6 +200,13 @@ class TestDeriveSeeds:
     def test_rejects_non_integer_base_seed(self, bad):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             derive_seeds(bad, 4)
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_boolean_arguments(self, bad):
+        with pytest.raises(ConfigurationError, match="base_seed must be an integer"):
+            derive_seeds(bad, 4)
+        with pytest.raises(ConfigurationError, match="n must be an integer"):
+            derive_seeds(2017, bad)
 
     @pytest.mark.parametrize("bad", [1.5, "8", 4.0])
     def test_rejects_non_integer_count(self, bad):

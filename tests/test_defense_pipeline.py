@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 import repro
+from repro import telemetry
 from repro.analysis.defense_comparison import compare_defenses, defense_variants
 from repro.cli import main
 from repro.exceptions import ConfigurationError
@@ -239,6 +240,26 @@ class TestComparisonDeterminism:
         # variants; compare_defenses downgrades it to auto.
         rows = compare_defenses(FAST, backend="vectorized")
         assert rows == compare_defenses(FAST, backend="auto")
+
+    def test_variants_fan_out_as_one_batch(self, monkeypatch):
+        from repro.simulation import batch as batch_module
+
+        serial = compare_defenses(FAST, workers=1)
+        batches = []
+        execute = batch_module.execute_batch
+
+        def spy(*args, **kwargs):
+            batches.append(execute(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(batch_module, "execute_batch", spy)
+        with telemetry.session() as tele:
+            pooled = compare_defenses(FAST, workers=2)
+        assert pooled == serial
+        assert tele.counters["batch.batches"] == 1
+        assert tele.counters["batch.runs"] == len(defense_variants(FAST))
+        (batch,) = batches
+        assert batch.parallel and batch.workers == 2
 
     def test_cache_replay_identical(self, tmp_path):
         store = RunStore(tmp_path / "runs.sqlite")

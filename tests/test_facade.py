@@ -1,10 +1,13 @@
 """Unified experiment facade (repro.run)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro import fig2_scenario
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.facade import run
 from repro.simulation import (
     CarFollowingSimulation,
@@ -20,6 +23,7 @@ from repro.simulation import (
     save_scenario,
 )
 from repro.simulation.io import result_to_dict
+from repro.store import RunStore
 from repro.vehicle import ConstantAccelerationProfile
 
 FAST = fig2_scenario("dos", horizon=20.0)
@@ -157,3 +161,86 @@ class TestPublicNames:
             assert not hasattr(repro, name)
             assert not hasattr(repro.facade, name)
             assert name not in repro.__all__
+
+
+class TestKnobRules:
+    @pytest.mark.parametrize("workers", [True, False])
+    def test_boolean_workers_rejected(self, workers):
+        for mode in ("figure", "single"):
+            with pytest.raises(ConfigurationError, match="workers must be an int"):
+                run(FAST, mode=mode, workers=workers)
+
+    @pytest.mark.parametrize("seeds", [0, [], ()])
+    def test_monte_carlo_rejects_empty_seeds(self, seeds):
+        with pytest.raises(ConfigurationError, match="seeds must name at least one"):
+            run(FAST, mode="monte_carlo", seeds=seeds)
+
+    @pytest.mark.parametrize("mode", ["single", "figure", "sweep"])
+    def test_seeds_rejected_outside_monte_carlo(self, mode):
+        with pytest.raises(ConfigurationError, match="seeds= argument only applies"):
+            run(FAST, mode=mode, seeds=3)
+        with pytest.raises(ConfigurationError, match="seeds= argument only applies"):
+            run(FAST, mode=mode, seeds=[1, 2])
+
+    def test_seeds_rejected_for_platoons(self):
+        with pytest.raises(ConfigurationError, match="seeds= argument only applies"):
+            run(_platoon_scenario(), seeds=3)
+
+
+def _explode(self):
+    raise RuntimeError("engine exploded")
+
+
+class TestRunFailures:
+    """A failing run surfaces as the batch's SimulationError in every
+    mode, whatever the cache and backend knobs say."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "auto"])
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_single_mode(self, monkeypatch, tmp_path, backend, with_store):
+        monkeypatch.setattr(CarFollowingSimulation, "run", _explode)
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            with pytest.raises(SimulationError) as excinfo:
+                run(FAST, cache=store if with_store else "off", backend=backend)
+            assert len(store) == 0
+        assert str(excinfo.value).startswith("1/1 batch runs failed;")
+        assert "RuntimeError: engine exploded" in str(excinfo.value)
+
+    def test_platoon_mode(self, monkeypatch):
+        monkeypatch.setattr(PlatoonSimulation, "run", _explode)
+        with pytest.raises(SimulationError, match="RuntimeError: engine exploded"):
+            run(_platoon_scenario())
+
+
+def _calls_in(path):
+    """Names of every function called in a python source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(getattr(func, "attr", None) or getattr(func, "id", None))
+    return names
+
+
+class TestOneWayIn:
+    """``execute_batch`` is the only way into the engines."""
+
+    ROOT = Path(repro.__file__).parent
+
+    def callers(self, *names):
+        return sorted(
+            path.relative_to(self.ROOT).as_posix()
+            for path in self.ROOT.rglob("*.py")
+            if _calls_in(path) & set(names)
+        )
+
+    def test_only_the_batch_constructs_engines(self):
+        assert self.callers("CarFollowingSimulation", "PlatoonSimulation") == [
+            "simulation/batch.py"
+        ]
+
+    def test_knobs_validated_by_the_batch_and_the_service_only(self):
+        assert self.callers("validate_workers", "resolve_backend") == [
+            "service/jobs.py",
+            "simulation/batch.py",
+        ]

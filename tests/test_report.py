@@ -4,8 +4,12 @@ import io
 
 import pytest
 
+import repro
 from repro.analysis import build_report
+from repro.analysis.report import figure_panel_rows
 from repro.cli import main
+from repro.exceptions import ConfigurationError
+from repro.simulation import PANELS, panel_scenario, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +79,65 @@ class TestCLIMarkdown:
         assert path.exists()
         assert "fig3b" in path.read_text()
         assert str(path) in out.getvalue()
+
+
+def _cell(text):
+    """A rendered table cell back as a python value."""
+    text = text.strip()
+    if text in ("yes", "no"):
+        return text == "yes"
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _table_rows(lines):
+    """Rows of a rendered table (header line first, no rule lines)."""
+    header, *body = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in lines
+    ]
+    return [dict(zip(header, map(_cell, cells))) for cells in body]
+
+
+class TestPanelTable:
+    """The CLI summary and the markdown report show one panel table."""
+
+    def test_cli_and_markdown_tables_are_figure_panel_rows(self, report):
+        rows = figure_panel_rows()
+        assert [row["panel"] for row in rows] == list(PANELS)
+
+        out = io.StringIO()
+        assert main(["report"], out=out) == 0
+        cli_lines = out.getvalue().splitlines()[1:]  # drop the title
+        cli_rows = _table_rows(
+            [line for line in cli_lines if line and not line.startswith("-")]
+        )
+
+        section = report.split("## Figure panels", 1)[1].strip().split("\n\n")[0]
+        markdown_rows = _table_rows(
+            [line for line in section.splitlines() if not line.startswith("|--")]
+        )
+        assert cli_rows == rows
+        assert markdown_rows == rows
+
+    def test_panel_scenarios_are_the_paper_factories(self):
+        assert PANELS == ("fig2a", "fig2b", "fig3a", "fig3b")
+        expected = {
+            "fig2a": repro.fig2_scenario("dos"),
+            "fig2b": repro.fig2_scenario("delay"),
+            "fig3a": repro.fig3_scenario("dos"),
+            "fig3b": repro.fig3_scenario("delay"),
+        }
+        for panel, scenario in expected.items():
+            assert scenario_to_dict(panel_scenario(panel)) == scenario_to_dict(
+                scenario
+            )
+
+    @pytest.mark.parametrize("bad", ["fig4a", "FIG2A", "fig2", ""])
+    def test_panel_scenario_rejects_unknown_id(self, bad):
+        with pytest.raises(ConfigurationError, match="panel must be one of"):
+            panel_scenario(bad)

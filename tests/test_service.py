@@ -930,6 +930,12 @@ class TestJobManager:
         with pytest.raises(ConfigurationError, match="executor"):
             JobManager(RunStore(tmp_path / "s.sqlite"), executor="fibers")
 
+    def test_rejects_boolean_workers(self, tmp_path):
+        with RunStore(tmp_path / "s.sqlite") as store:
+            for workers in (True, False):
+                with pytest.raises(ConfigurationError, match="workers"):
+                    JobManager(store, workers=workers, executor="thread")
+
     def test_rejects_bad_cache_mode(self, tmp_path):
         async def scenario():
             manager = JobManager(
