@@ -1,29 +1,54 @@
 """Extension bench — warm-vs-cold speedup of the run store.
 
-Builds the full markdown report (4 panel triples plus two 8-seed
-Monte-Carlo robustness sweeps — 28 closed-loop runs) three times
-against a fresh temporary store: once with the cache off (the
+Builds the full markdown report (4 panel triples, the Figure 2a
+defense comparison and two 8-seed Monte-Carlo robustness sweeps) three
+times against a fresh temporary store: once with the cache off (the
 pre-store baseline), once cold through a ``readwrite`` binding
 (computes every run and persists it), and once warm (every run replays
 from the store).  Asserts the tentpole contract of :mod:`repro.store`:
 
 * all three report texts are **byte-identical** — caching changes
   wall-clock only, never output;
-* the warm build is at least 10x faster than the cold one (28 SQLite
-  lookups plus zlib decodes vs 28 simulated 300 s closed loops).
+* the store holds one row per distinct run the report executes;
+* the warm build is at least 10x faster than the cold one (one SQLite
+  lookup and payload decode per run vs one simulated 300 s closed loop).
 """
 
 import time
 
 from conftest import emit
 from repro.analysis import render_table
+from repro.analysis.defense_comparison import defense_variants
 from repro.analysis.report import build_report
-from repro.store import RunStore
+from repro.simulation import RunSpec
+from repro.simulation.scenario import PANELS, panel_scenario
+from repro.store import RunStore, run_fingerprint
 
 SPEEDUP_FLOOR = 10.0
-#: Robustness-section seeds: a heavier, more realistic report workload
-#: (4 panel triples + two 8-seed Monte-Carlo sweeps = 28 runs).
+#: Robustness-section seeds: a heavier, more realistic report workload.
 SEEDS = tuple(range(8))
+#: ``(attack_enabled, defended)`` of a panel's baseline, attacked and
+#: defended runs.
+FIGURE_TOGGLES = ((False, False), (True, False), (True, True))
+
+
+def report_specs(seeds):
+    """Every run ``build_report(seeds=seeds)`` executes, in report order."""
+    specs = [
+        RunSpec(panel_scenario(panel), attack_enabled=attack, defended=defended)
+        for panel in PANELS
+        for attack, defended in FIGURE_TOGGLES
+    ]
+    specs += [
+        RunSpec(variant, attack_enabled=True, defended=defended)
+        for _, variant, defended in defense_variants(panel_scenario("fig2a"))
+    ]
+    specs += [
+        RunSpec(panel_scenario(panel).with_overrides(sensor_seed=seed))
+        for panel in ("fig2a", "fig2b")
+        for seed in seeds
+    ]
+    return specs
 
 
 def bench_cache_speedup(benchmark, tmp_path_factory):
@@ -49,8 +74,9 @@ def bench_cache_speedup(benchmark, tmp_path_factory):
     assert warm == baseline
 
     stats = store.stats()
-    # 4 panel triples + 2 scenarios x 8 Monte-Carlo seeds.
-    assert stats.entries == 12 + 2 * len(SEEDS)
+    # One row per distinct run: the defense comparison's "undefended"
+    # and "rls" rows are the fig2a panel's attacked and defended runs.
+    assert stats.entries == len({run_fingerprint(s) for s in report_specs(SEEDS)})
 
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
     assert speedup >= SPEEDUP_FLOOR, (

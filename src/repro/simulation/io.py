@@ -21,6 +21,8 @@ __all__ = [
     "export_csv",
     "export_json",
     "load_json",
+    "result_metadata",
+    "result_from_metadata",
     "result_to_dict",
     "result_from_dict",
 ]
@@ -28,14 +30,8 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-def result_to_dict(result: SimulationResult) -> dict:
-    """A result (traces + metadata) as a JSON-compatible dict.
-
-    The inverse of :func:`result_from_dict`.  Floats survive the JSON
-    round trip exactly (``repr``-based shortest representation), so a
-    reloaded result is bit-identical to the original — the property the
-    run store (:mod:`repro.store`) relies on.
-    """
+def result_metadata(result: SimulationResult) -> dict:
+    """Everything of a result but its traces, as a JSON-compatible dict."""
     return {
         "name": result.name,
         "attack_name": result.attack_name,
@@ -50,6 +46,39 @@ def result_to_dict(result: SimulationResult) -> dict:
             }
             for e in result.detection_events
         ],
+    }
+
+
+def result_from_metadata(meta: dict, traces: dict) -> SimulationResult:
+    """Rebuild a result from :func:`result_metadata`'s dict and its traces."""
+    return SimulationResult(
+        name=meta["name"],
+        traces=traces,
+        detection_events=[
+            DetectionEvent(
+                time=float(e["time"]),
+                attack_detected=bool(e["attack_detected"]),
+                receiver_output=float(e["receiver_output"]),
+            )
+            for e in meta["detection_events"]
+        ],
+        collision_time=meta["collision_time"],
+        attack_name=meta["attack_name"],
+        defended=meta["defended"],
+        # .get(): payloads written before the field existed lack the key.
+        defense_stats=meta.get("defense_stats"),
+    )
+
+
+def result_to_dict(result: SimulationResult) -> dict:
+    """A result (traces + metadata) as a JSON-compatible dict.
+
+    The inverse of :func:`result_from_dict`.  Floats survive the JSON
+    round trip exactly (``repr``-based shortest representation), so a
+    reloaded result is bit-identical to the original.
+    """
+    return {
+        **result_metadata(result),
         "traces": {
             name: {"times": series.times, "values": series.values}
             for name, series in result.traces.items()
@@ -59,33 +88,15 @@ def result_to_dict(result: SimulationResult) -> dict:
 
 def result_from_dict(payload: dict) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from its dict form."""
-    traces = {}
-    for name, data in payload["traces"].items():
-        # Bulk-construct rather than append sample-by-sample: the data
-        # came from a recorded run, so it is already ordered, and warm
-        # cache replays decode thousands of samples per lookup.
-        traces[name] = TimeSeries(
+    traces = {
+        name: TimeSeries(
             name,
             times=[float(t) for t in data["times"]],
             values=[float(v) for v in data["values"]],
         )
-    return SimulationResult(
-        name=payload["name"],
-        traces=traces,
-        detection_events=[
-            DetectionEvent(
-                time=float(e["time"]),
-                attack_detected=bool(e["attack_detected"]),
-                receiver_output=float(e["receiver_output"]),
-            )
-            for e in payload["detection_events"]
-        ],
-        collision_time=payload["collision_time"],
-        attack_name=payload["attack_name"],
-        defended=payload["defended"],
-        # .get(): payloads written before the field existed lack the key.
-        defense_stats=payload.get("defense_stats"),
-    )
+        for name, data in payload["traces"].items()
+    }
+    return result_from_metadata(payload, traces)
 
 
 def export_csv(result: SimulationResult, path: PathLike) -> Path:

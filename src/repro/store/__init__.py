@@ -7,8 +7,8 @@ results memoizable across processes and sessions:
 * :mod:`repro.store.fingerprint` — canonical-JSON + SHA-256 content
   addresses of runs, salted with a schema version;
 * :mod:`repro.store.runstore` — :class:`RunStore`, the SQLite (WAL)
-  store holding run metadata, headline summaries, and compressed trace
-  payloads, with ``get`` / ``summary`` / ``put`` / ``stats`` /
+  store holding run metadata, headline summaries, and trace payloads
+  (one shared time grid plus one ``float64`` row per trace), with ``get`` / ``summary`` / ``put`` / ``stats`` /
   ``evict`` / ``export`` APIs.  It lives in one file, or in a directory
   of N files routed by fingerprint prefix (``RunStore(path,
   shards=N)``), which concurrent multi-process writers fill without

@@ -2,9 +2,9 @@
 
 One row per content-addressed run (see
 :mod:`repro.store.fingerprint`): spec dict, headline summary, and the
-full trace payload as a zlib-compressed binary block (JSON metadata
-header + packed ``float64`` arrays).  The stdlib ``sqlite3`` is the
-whole persistence stack — no external services.
+full trace payload as one binary block (JSON header + an uncompressed
+``float64`` matrix: the time grid, then one row per trace).  The stdlib
+``sqlite3`` is the whole persistence stack — no external services.
 
 A store is a list of SQLite files; a run lives in file
 :func:`shard_index` ``(fingerprint, n)``.  Two on-disk layouts:
@@ -58,7 +58,6 @@ import os
 import sqlite3
 import struct
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -67,9 +66,9 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.exceptions import ConfigurationError, ReproError
-from repro.simulation.io import result_to_dict
-from repro.simulation.results import SimulationResult
-from repro.types import DetectionEvent, TimeSeries
+from repro.simulation.io import result_from_metadata, result_metadata
+from repro.simulation.results import TRACE_NAMES, SimulationResult
+from repro.types import TimeSeries
 
 __all__ = [
     "RunStore",
@@ -160,10 +159,10 @@ class StoreCorruptionError(ReproError):
     """
 
 
-#: What a damaged payload raises inside :func:`_decode_payload`: zlib
-#: and struct errors, JSON/UTF-8 errors and short buffers (both
-#: ``ValueError``), a header missing its keys, and an unknown codec.
-_DECODE_ERRORS = (zlib.error, struct.error, ValueError, KeyError)
+#: What a damaged payload raises inside :func:`_decode_payload`: a short
+#: header (``struct.error``), bad JSON/UTF-8, a wrong block length or an
+#: unknown codec (``ValueError``), a header without its keys.
+_DECODE_ERRORS = (struct.error, ValueError, KeyError, TypeError)
 
 
 def _is_lock_error(exc: sqlite3.OperationalError) -> bool:
@@ -171,14 +170,14 @@ def _is_lock_error(exc: sqlite3.OperationalError) -> bool:
     message = str(exc).lower()
     return "locked" in message or "busy" in message
 
-#: Identifier of the payload encoding; stored per row so the codec can
-#: evolve without invalidating old databases.  ``v1``: a little-endian
-#: ``uint32`` header length, a JSON header (run metadata + trace
-#: layout), then the packed ``float64`` trace arrays — all wrapped in
-#: zlib.  Binary doubles round-trip bit-exactly and decode an order of
-#: magnitude faster than JSON float parsing, which is what makes warm
-#: cache replays sub-millisecond per run.
-_PAYLOAD_CODEC = "zlib-f64-v1"
+#: Identifier of the payload encoding, stored per row and checked on
+#: every ``get``.  A little-endian ``uint32`` header length, a JSON
+#: header ``{"meta": result_metadata(...), "steps": n}``, then one
+#: little-endian ``float64`` block of ``1 + len(TRACE_NAMES)`` rows by
+#: ``n``: the time grid every trace shares, then the traces in
+#: :data:`TRACE_NAMES` order.  Doubles round-trip bit-exactly; the block
+#: is not compressed, as zlib costs far more time than it saves bytes.
+_PAYLOAD_CODEC = "f64-grid-v2"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -249,53 +248,40 @@ def _validate_shards(shards: int) -> int:
 
 
 def _encode_payload(result: SimulationResult) -> bytes:
-    meta = result_to_dict(result)
-    traces = meta.pop("traces")
-    layout = []
-    arrays = []
-    for name, data in traces.items():
-        layout.append({"name": name, "n": len(data["times"])})
-        arrays.append(np.asarray(data["times"], dtype="<f8").tobytes())
-        arrays.append(np.asarray(data["values"], dtype="<f8").tobytes())
-    header = json.dumps(
-        {"meta": meta, "layout": layout}, separators=(",", ":")
-    ).encode("utf-8")
-    blob = b"".join([struct.pack("<I", len(header)), header, *arrays])
-    return zlib.compress(blob, 6)
+    traces = result.traces
+    if tuple(traces) != TRACE_NAMES or any(
+        series.times != traces[TRACE_NAMES[0]].times for series in traces.values()
+    ):
+        raise ValueError(
+            f"cannot store run {result.name!r}: a stored run holds exactly "
+            f"the TRACE_NAMES traces, in that order, on one time grid"
+        )
+    times = traces[TRACE_NAMES[0]].times
+    header = json.dumps({"meta": result_metadata(result), "steps": len(times)}).encode()
+    block = np.array([times, *(s.values for s in traces.values())], dtype="<f8")
+    return b"".join([struct.pack("<I", len(header)), header, block.tobytes()])
 
 
 def _decode_payload(blob: bytes, codec: str) -> SimulationResult:
     if codec != _PAYLOAD_CODEC:
         raise ValueError(f"unknown run-store payload codec {codec!r}")
-    raw = zlib.decompress(blob)
-    (header_len,) = struct.unpack_from("<I", raw, 0)
-    header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
-    meta = header["meta"]
+    (header_len,) = struct.unpack_from("<I", blob, 0)
+    header = json.loads(blob[4 : 4 + header_len].decode("utf-8"))
+    steps = header["steps"]
     offset = 4 + header_len
-    traces = {}
-    for entry in header["layout"]:
-        name, n = entry["name"], entry["n"]
-        times = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
-        offset += 8 * n
-        values = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
-        offset += 8 * n
-        traces[name] = TimeSeries(name, times=times.tolist(), values=values.tolist())
-    return SimulationResult(
-        name=meta["name"],
-        traces=traces,
-        detection_events=[
-            DetectionEvent(
-                time=float(e["time"]),
-                attack_detected=bool(e["attack_detected"]),
-                receiver_output=float(e["receiver_output"]),
-            )
-            for e in meta["detection_events"]
-        ],
-        collision_time=meta["collision_time"],
-        attack_name=meta["attack_name"],
-        defended=meta["defended"],
-        defense_stats=meta.get("defense_stats"),
-    )
+    rows = 1 + len(TRACE_NAMES)
+    if len(blob) - offset != 8 * rows * steps:
+        raise ValueError(
+            f"data block is {len(blob) - offset} bytes, not {rows} x {steps} float64"
+        )
+    times, *values = np.frombuffer(
+        blob, dtype="<f8", count=rows * steps, offset=offset
+    ).reshape(rows, steps).tolist()
+    traces = {
+        name: TimeSeries(name, times=list(times), values=row)
+        for name, row in zip(TRACE_NAMES, values)
+    }
+    return result_from_metadata(header["meta"], traces)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Content-addressed run store (repro.store) and cache-aware execution."""
 
+import dataclasses
+import hashlib
 import io
 import json
 import pickle
@@ -18,8 +20,10 @@ from repro.simulation import (
     PlatoonScenario,
     RunSpec,
     execute_batch,
+    result_to_dict,
     run_monte_carlo,
 )
+from repro.simulation.results import TRACE_NAMES
 from repro.store import (
     CACHE_MODES,
     CacheBinding,
@@ -34,6 +38,7 @@ from repro.store import (
     run_fingerprint,
     shard_index,
 )
+from repro.types import TimeSeries
 from repro.vehicle import ConstantAccelerationProfile
 
 #: Short horizon keeps the attack window empty — fast, clean runs.
@@ -306,10 +311,10 @@ def _damage(path, fingerprint, how):
         ).fetchone()
         payload, codec = {
             "truncated": (blob[: len(blob) // 2], codec),
-            "not_zlib": (b"\x00 not a zlib stream", codec),
-            "short_header": (zlib.compress(b"\x01"), codec),
-            "bad_header_json": (zlib.compress(struct.pack("<I", 5) + b"{nope"), codec),
-            "short_arrays": (zlib.compress(zlib.decompress(blob)[:-8]), codec),
+            "garbage": (b"\x00 not a run payload", codec),
+            "short_header": (b"\x01", codec),
+            "bad_header_json": (struct.pack("<I", 5) + b"{nope", codec),
+            "short_arrays": (blob[:-8], codec),
             "unknown_codec": (blob, "lz4-f64-v9"),
         }[how]
         conn.execute(
@@ -319,7 +324,7 @@ def _damage(path, fingerprint, how):
 
 
 DAMAGE = (
-    "truncated", "not_zlib", "short_header", "bad_header_json",
+    "truncated", "garbage", "short_header", "bad_header_json",
     "short_arrays", "unknown_codec",
 )
 
@@ -368,6 +373,143 @@ class TestCorruptRows:
                 repro.run(FAST, cache=store)
             with pytest.raises(StoreCorruptionError, match=key):
                 execute_batch([spec], cache=store)
+
+
+def _payload(path, fingerprint):
+    with sqlite3.connect(path) as conn:
+        return conn.execute(
+            "SELECT payload, payload_codec FROM runs WHERE fingerprint = ?",
+            (fingerprint,),
+        ).fetchone()
+
+
+def _parent_format_blob(result):
+    """``result`` in the retired ``zlib-f64-v1`` layout: a per-trace
+    layout header and one time grid per trace, all zlib-compressed."""
+    meta = result_to_dict(result)
+    traces = meta.pop("traces")
+    layout = [{"name": name, "n": len(data["times"])} for name, data in traces.items()]
+    arrays = [
+        np.asarray(data[key], dtype="<f8").tobytes()
+        for data in traces.values()
+        for key in ("times", "values")
+    ]
+    header = json.dumps({"meta": meta, "layout": layout}).encode("utf-8")
+    return zlib.compress(struct.pack("<I", len(header)) + header + b"".join(arrays), 6)
+
+
+class TestPayloadCodec:
+    """A stored run is one header plus one ``float64`` block: the time
+    grid, then one row per trace in ``TRACE_NAMES`` order."""
+
+    @staticmethod
+    def _stored(tmp_path):
+        store = RunStore(tmp_path / "s.sqlite")
+        result = execute_batch([RunSpec(FAST)], cache=store).records[0].payload
+        return store, run_fingerprint(RunSpec(FAST)), result
+
+    def test_layout_is_one_grid_plus_one_row_per_trace(self, tmp_path):
+        store, key, result = self._stored(tmp_path)
+        store.close()
+        blob, codec = _payload(store.path, key)
+        assert codec == "f64-grid-v2"
+        (header_len,) = struct.unpack_from("<I", blob, 0)
+        header = json.loads(blob[4 : 4 + header_len])
+        steps = len(result.times)
+        assert header["steps"] == steps
+        assert "traces" not in header["meta"]
+        block = np.frombuffer(blob, dtype="<f8", offset=4 + header_len)
+        block = block.reshape(1 + len(TRACE_NAMES), steps)
+        assert block[0].tolist() == result.series("true_distance").times
+        for row, name in zip(block[1:], TRACE_NAMES):
+            assert row.tolist() == result.traces[name].values
+
+    def test_replay_gives_every_trace_its_own_time_list(self, tmp_path):
+        store, key, result = self._stored(tmp_path)
+        with store:
+            replay = store.get(key)
+        assert result_to_dict(replay) == result_to_dict(result)
+        grids = [series.times for series in replay.traces.values()]
+        assert len({id(times) for times in grids}) == len(TRACE_NAMES)
+
+    @pytest.mark.parametrize(
+        "how", ["one_row_short", "bytes_appended", "header_not_an_object"]
+    )
+    def test_payload_must_match_its_header(self, tmp_path, how):
+        store, key, result = self._stored(tmp_path)
+        with store:
+            blob, _ = _payload(store.path, key)
+            damaged = {
+                "one_row_short": blob[: -8 * len(result.times)],
+                "bytes_appended": blob + bytes(8),
+                "header_not_an_object": struct.pack("<I", 2) + b"[]",
+            }[how]
+            with sqlite3.connect(store.path) as conn:
+                conn.execute(
+                    "UPDATE runs SET payload = ? WHERE fingerprint = ?", (damaged, key)
+                )
+            with pytest.raises(StoreCorruptionError, match=key):
+                store.get(key)
+
+    @pytest.mark.parametrize("how", ["missing", "extra", "reordered", "two_grids"])
+    def test_put_refuses_a_result_off_the_trace_layout(self, tmp_path, how):
+        result = repro.run(FAST)
+        traces = dict(result.traces)
+        if how == "missing":
+            del traces["brake_pressure"]
+        elif how == "extra":
+            traces["lateral_offset"] = TimeSeries(
+                "lateral_offset", list(result.times), [0.0] * len(result.times)
+            )
+        elif how == "reordered":
+            traces = dict(reversed(list(traces.items())))
+        else:
+            series = traces["brake_pressure"]
+            traces["brake_pressure"] = TimeSeries(
+                series.name, [t + 0.5 for t in series.times], list(series.values)
+            )
+        foreign = dataclasses.replace(result, traces=traces)
+        key = run_fingerprint(RunSpec(FAST))
+        with RunStore(tmp_path / "s.sqlite") as store:
+            with pytest.raises(ValueError, match="TRACE_NAMES"):
+                store.put(key, foreign)
+            assert key not in store
+            assert len(store) == 0
+
+    def test_parent_format_row_is_never_served(self, tmp_path):
+        spec = RunSpec(FAST)
+        key = run_fingerprint(spec)
+        result = repro.run(FAST)
+        old_key = hashlib.sha256(
+            canonical_json({**fingerprint_payload(spec), "schema": 2}).encode("utf-8")
+        ).hexdigest()
+        payload = _parent_format_blob(result)
+        with RunStore(tmp_path / "s.sqlite") as store:
+            store.put_row(
+                {
+                    "fingerprint": old_key,
+                    "schema_version": 2,
+                    "name": result.name,
+                    "attack_enabled": 1,
+                    "defended": 1,
+                    "sensor_seed": FAST.sensor_seed,
+                    "horizon": FAST.horizon,
+                    "spec_json": "{}",
+                    "summary_json": json.dumps(result.summary().as_dict()),
+                    "payload": payload,
+                    "payload_codec": "zlib-f64-v1",
+                    "payload_bytes": len(payload),
+                    "created_at": 0.0,
+                }
+            )
+            batch = execute_batch([spec], cache=store)
+            assert batch.cache_hits == 0
+            assert key != old_key
+            assert store.fingerprints() == sorted([old_key, key])
+            assert result_to_dict(store.get(key)) == result_to_dict(result)
+            with pytest.raises(StoreCorruptionError, match="zlib-f64-v1"):
+                store.get(old_key)
+            assert store.summary(old_key) == result.summary().as_dict()
 
 
 class TestCacheBinding:
