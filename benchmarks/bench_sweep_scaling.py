@@ -21,23 +21,24 @@ Asserted contracts:
 * **replay** — re-running the sweep against the populated store
   answers all 10,000 runs from the cache (``batch.cache_hits``) with
   outcome sequences equal to the cold run, i.e. replay is
-  bit-identical;
+  bit-identical, and reads only each run's stored summary: no payload
+  bytes (``store.hit_bytes``) are read;
 * **adaptive savings** — on detection-rate cells the adaptive
   schedule reaches the same converged confidence interval as the
   fixed grid with >= 20% fewer executed runs.
 
 The measured numbers are written to ``BENCH_sweep.json`` at the repo
-root (committed, like ``BENCH_service.json``) so sweep throughput is
-tracked across revisions.
+root (committed, like ``BENCH_service.json``) under a ``host`` header
+(CPU count, python, numpy, git sha) so sweep throughput is tracked
+across revisions.
 """
 
 import json
 import os
-import platform
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, host_header
 from repro import fig2_scenario, telemetry
 from repro.analysis import render_table
 from repro.attacks import AttackWindow, DoSJammingAttack
@@ -202,8 +203,10 @@ def bench_sweep_scaling(benchmark, tmp_path_factory):
     if _pool_available() and resolve_backend(None) == "scalar":
         assert measured[f"counters_w{WORKERS}"]["store.worker_writes"] == total_runs
 
-    # Replay answered everything from the cache.
+    # Replay answered everything from the cache, from the stored
+    # summaries alone: no payload was read.
     assert measured["replay_counters"]["batch.cache_hits"] == total_runs
+    assert "store.hit_bytes" not in measured["replay_counters"]
 
     speedup = t_serial / t_parallel if t_parallel > 0 else float("inf")
     cpus = os.cpu_count() or 1
@@ -229,7 +232,7 @@ def bench_sweep_scaling(benchmark, tmp_path_factory):
         store.close()
 
     record = {
-        "bench": "sweep_scaling",
+        "host": host_header("bench_sweep_scaling", smoke=False),
         "workload": (
             f"{total_runs}-run fixed sweep ({len(cells)} cells x "
             f"{RUNS_PER_CELL} seeds) through a {SHARDS}-shard store, "
@@ -244,12 +247,10 @@ def bench_sweep_scaling(benchmark, tmp_path_factory):
         "speedup": round(speedup, 2),
         "speedup_floor": SPEEDUP_FLOOR,
         "speedup_asserted": speedup_asserted,
-        "cpus": cpus,
         "replay_cache_hits": measured["replay_counters"]["batch.cache_hits"],
         "adaptive_executed_runs": adaptive.executed_runs,
         "fixed_grid_runs": fixed.executed_runs,
         "savings_fraction": round(adaptive.savings_fraction, 3),
-        "python": platform.python_version(),
     }
     RESULTS_PATH.write_text(json.dumps(record, indent=2) + "\n")
 

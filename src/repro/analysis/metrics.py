@@ -9,12 +9,12 @@ functions compute exactly those quantities from simulation results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.attacks.base import Attack
-from repro.simulation.results import SimulationResult
+from repro.simulation.results import ResultSummary, SimulationResult
 from repro.types import DetectionEvent
 
 __all__ = [
@@ -28,11 +28,16 @@ __all__ = [
 ]
 
 
-def detection_latency(result: SimulationResult, attack: Attack) -> Optional[float]:
+def detection_latency(
+    result: Union[SimulationResult, ResultSummary], attack: Attack
+) -> Optional[float]:
     """Seconds from attack onset to the first detection, or None.
 
     The structural lower bound is the gap from the onset to the next
-    challenge instant; CRA should achieve exactly that bound.
+    challenge instant; CRA should achieve exactly that bound.  Reads
+    only ``detection_times``, so a run's stored
+    :class:`~repro.simulation.results.ResultSummary` serves as well as
+    the run itself.
     """
     detections = [t for t in result.detection_times if t >= attack.window.start]
     if not detections:

@@ -270,15 +270,15 @@ class ServiceApp:
             }
         if with_trace:
             result = self.store.get(fingerprint)
-            summary = None if result is None else result.summary().as_dict()
+            summary = None if result is None else result.summary()
         else:
             summary = self.store.summary(fingerprint)
         if summary is None:
             return 404, {"error": f"no stored run {fingerprint!r}"}
         payload: Dict[str, Any] = {
             "fingerprint": fingerprint,
-            "name": summary["name"],
-            "summary": summary,
+            "name": summary.name,
+            "summary": summary.as_dict(),
         }
         if with_trace:
             payload["payload"] = result_to_dict(result)

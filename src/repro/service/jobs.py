@@ -47,17 +47,19 @@ import warnings
 from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Optional
+from typing import Awaitable, Callable, Dict, Optional
 
 from repro import telemetry as _telemetry
 from repro.exceptions import ConfigurationError
 from repro.simulation.batch import (
     RunRecord,
     RunSpec,
+    SummaryReducer,
     _POOL_INFRA_ERRORS,
     execute_batch,
 )
 from repro.simulation.knobs import resolve_backend, validate_workers
+from repro.simulation.results import ResultSummary
 from repro.simulation.spec import scenario_from_dict
 from repro.store.cache import CACHE_MODES, CacheBinding
 from repro.store.runstore import RunStore
@@ -80,9 +82,13 @@ MAX_RETAINED_JOBS = 4096
 Runner = Callable[["Job"], Awaitable[RunRecord]]
 
 
-def _summary(spec: RunSpec, result: Any) -> dict:
-    """Reduce a run to the summary dict the service replies with."""
-    return result.summary().as_dict()
+def _summary_dict(spec: RunSpec, summary: ResultSummary) -> dict:
+    return summary.as_dict()
+
+
+#: Reduce a run to the summary dict the service replies with.  A hit in
+#: the job's own store lookup reads the stored summary, not the payload.
+_summary = SummaryReducer(_summary_dict)
 
 
 def compute_record(
@@ -151,9 +157,9 @@ class Submission:
 
     Exactly one of the three shapes:
 
-    * cache hit — ``summary`` is the stored run's summary dict
-      (:meth:`~repro.store.runstore.RunStore.summary`, the
-      ``ResultSummary.as_dict()`` form), ``job`` is ``None``;
+    * cache hit — ``summary`` is the stored run's summary
+      (:meth:`~repro.store.runstore.RunStore.summary`) in its
+      ``ResultSummary.as_dict()`` form, ``job`` is ``None``;
     * new job — ``job`` is set, ``coalesced`` is ``False``;
     * coalesced — ``job`` is the already-in-flight job, ``coalesced``
       is ``True``.
@@ -269,7 +275,7 @@ class JobManager:
             hit = self.store.summary(fingerprint)
             if hit is not None:
                 _telemetry.incr("service.cache_hit")
-                return Submission(fingerprint=fingerprint, summary=hit)
+                return Submission(fingerprint=fingerprint, summary=hit.as_dict())
             inflight = self._inflight.get(fingerprint)
             if inflight is not None:
                 inflight.coalesced += 1

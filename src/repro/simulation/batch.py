@@ -13,7 +13,9 @@ This module is the one substrate they all fan out through:
   ``ProcessPoolExecutor`` in chunks and returns ordered, structured
   :class:`RunRecord` entries (payload, wall-clock, worker pid, error);
 * :func:`run_many` is the convenience wrapper returning just the
-  payloads.
+  payloads;
+* :class:`SummaryReducer` marks a reducer that needs only a run's
+  :class:`~repro.simulation.results.ResultSummary`.
 
 Determinism is by construction: each spec carries its full
 configuration (including ``sensor_seed``), so a run's result does not
@@ -40,7 +42,9 @@ Determinism also makes runs *memoizable*: with ``cache=`` set to
 ``"readonly"`` or ``"readwrite"`` (or an explicit
 :class:`repro.store.RunStore`), each spec is fingerprinted via
 :mod:`repro.store.fingerprint` and store hits skip simulation entirely
-— the replayed payload is bit-identical to a fresh run.  Cached and
+— the replayed payload is bit-identical to a fresh run.  A
+:class:`SummaryReducer`'s hits read only the row's stored summary, not
+its trace payload.  Cached and
 uncached batches share one dispatch (with cache off the lookup simply
 finds no hits).  In ``readwrite`` mode whoever computes a run stores
 it: a pool worker writes its own results, whatever the store's file
@@ -75,7 +79,7 @@ from repro import telemetry as _telemetry
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.engine import CarFollowingSimulation
 from repro.simulation.knobs import resolve_backend, validate_workers
-from repro.simulation.results import SimulationResult
+from repro.simulation.results import ResultSummary, SimulationResult
 from repro.simulation.platoon import PlatoonScenario, PlatoonSimulation
 from repro.simulation.scenario import Scenario
 from repro.telemetry.summary import TelemetrySummary
@@ -87,12 +91,31 @@ __all__ = [
     "execute_batch",
     "run_many",
     "derive_seeds",
+    "SummaryReducer",
 ]
 
 #: A worker-side reducer applied to (spec, raw result) before the
 #: payload travels back to the parent — must be a picklable callable
 #: (module-level function) when ``workers > 1``.
 Postprocess = Callable[["RunSpec", Any], Any]
+
+
+@dataclass(frozen=True)
+class SummaryReducer:
+    """A reducer that needs only a run's :class:`ResultSummary`.
+
+    ``fn(spec, summary)`` sees the same summary however the run was
+    obtained: a computed run's ``result.summary()`` (serial, pooled or
+    vectorized), or, on a cache hit, the row's stored summary
+    (:meth:`~repro.store.runstore.RunStore.summary`), so the hit
+    decodes no trace payload.  Picklable when ``fn`` is a module-level
+    function.
+    """
+
+    fn: Callable[["RunSpec", ResultSummary], Any]
+
+    def __call__(self, spec: "RunSpec", result: SimulationResult) -> Any:
+        return self.fn(spec, result.summary())
 
 
 @dataclass(frozen=True)
@@ -348,7 +371,11 @@ def execute_batch(
     postprocess:
         Optional reducer ``(spec, result) -> payload`` applied worker-
         side — use a module-level function so it pickles; lets sweeps
-        return small summaries instead of full trace containers.
+        return small summaries instead of full trace containers.  A
+        :class:`SummaryReducer` needs only the run's summary, so its
+        cache hits read the row's stored summary and decode no payload
+        (sweeps and Monte-Carlo replay this way); any other reducer, or
+        none, gets the fully decoded result.
     cache:
         Run-store policy (see :mod:`repro.store.cache`): ``None`` /
         ``"off"`` (default) bypasses the store entirely;
@@ -394,21 +421,27 @@ def execute_batch(
     writes = binding is not None and binding.writes
     try:
         # Serve fingerprint hits from the store; with cache off there
-        # is nothing to look up and every spec is a miss.
+        # is nothing to look up and every spec is a miss.  A
+        # SummaryReducer's hits read the stored summary, not the run.
         records: dict = {}
         misses: List[Tuple[int, RunSpec]] = []
+        summary_only = isinstance(postprocess, SummaryReducer)
+        reducer = postprocess.fn if summary_only else postprocess
+        read = None
+        if binding is not None:
+            read = binding.store.summary if summary_only else binding.store.get
         for index, spec in enumerate(specs):
             lookup_start = time.perf_counter()
             hit = None
-            if binding is not None and spec._fingerprint is not None:
-                hit = binding.store.get(spec._fingerprint)
+            if read is not None and spec._fingerprint is not None:
+                hit = read(spec._fingerprint)
             if hit is None:
                 misses.append((index, spec))
                 continue
-            if postprocess is None:
+            if reducer is None:
                 payload, error = hit, None
             else:
-                payload, error = _apply_postprocess(postprocess, spec, hit)
+                payload, error = _apply_postprocess(reducer, spec, hit)
             records[index] = RunRecord(
                 index=index,
                 tag=spec.tag,

@@ -21,8 +21,8 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.metrics import detection_latency
-from repro.simulation.batch import RunSpec, run_many
-from repro.simulation.results import SimulationResult
+from repro.simulation.batch import RunSpec, SummaryReducer, run_many
+from repro.simulation.results import ResultSummary
 from repro.simulation.scenario import Scenario
 
 __all__ = ["SeedOutcome", "MonteCarloSummary", "run_monte_carlo"]
@@ -125,27 +125,29 @@ class MonteCarloSummary:
         }
 
 
-def _seed_outcome(spec: RunSpec, result: SimulationResult) -> SeedOutcome:
-    """Reduce a full simulation result to its seed outcome.
-
-    Runs worker-side (see :mod:`repro.simulation.batch`), so only the
-    small outcome record crosses the process boundary, not the traces.
-    """
+def _outcome_of(spec: RunSpec, summary: ResultSummary) -> SeedOutcome:
     scenario = spec.scenario
     attack = scenario.attack if spec.attack_enabled else None
-    detections = result.detection_times
     latency = (
-        detection_latency(result, attack)
-        if attack is not None and detections
+        detection_latency(summary, attack)
+        if attack is not None and summary.detection_times
         else None
     )
     return SeedOutcome(
         seed=scenario.sensor_seed,
-        min_gap=result.min_gap(),
-        collided=result.collided,
-        detection_time=detections[0] if detections else None,
+        min_gap=summary.min_gap,
+        collided=summary.collided,
+        detection_time=summary.first_detection_time,
         detection_latency=latency,
     )
+
+
+#: Reduce one run to its seed outcome.  It reads only the run's
+#: :class:`ResultSummary`: a computed run is reduced where it ran (in the
+#: pool worker, so only the small outcome crosses the process boundary),
+#: and a cache hit reads the row's stored summary without decoding the
+#: trace payload (see :class:`~repro.simulation.batch.SummaryReducer`).
+_seed_outcome = SummaryReducer(_outcome_of)
 
 
 def run_monte_carlo(

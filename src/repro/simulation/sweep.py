@@ -26,9 +26,11 @@ those writes over N files).
 The driver fans each round out through
 :func:`~repro.simulation.batch.execute_batch` (``workers=`` /
 ``backend=`` keep their meanings) with the
-:func:`~repro.simulation.monte_carlo._seed_outcome` reducer, so only
+:data:`~repro.simulation.monte_carlo._seed_outcome` reducer, so only
 small :class:`~repro.simulation.monte_carlo.SeedOutcome` records
-travel between processes.
+travel between processes.  That reducer reads only a run's
+:class:`~repro.simulation.results.ResultSummary`, so a replayed run
+costs one summary read from the store, not a payload decode.
 
 With an active :mod:`repro.telemetry` session the scheduler emits one
 ``sweep.round`` span per round plus ``sweep.rounds`` /

@@ -44,7 +44,7 @@ __all__ = [
 #: Version salt mixed into every fingerprint.  Bump when the simulation
 #: engine, the spec dict schema, or the stored payload codec changes in
 #: a way that invalidates previously stored results.
-STORE_SCHEMA_VERSION = 3  # 3: f64-grid-v2 payloads (one time grid, no zlib)
+STORE_SCHEMA_VERSION = 4  # 4: summary_json holds the exact ResultSummary
 
 
 def _coerce_scalar(obj: Any) -> Any:

@@ -1,7 +1,8 @@
 """SQLite-backed persistent store of simulation runs.
 
 One row per content-addressed run (see
-:mod:`repro.store.fingerprint`): spec dict, headline summary, and the
+:mod:`repro.store.fingerprint`): spec dict, the exact
+:class:`~repro.simulation.results.ResultSummary` as JSON, and the
 full trace payload as one binary block (JSON header + an uncompressed
 ``float64`` matrix: the time grid, then one row per trace).  The stdlib
 ``sqlite3`` is the whole persistence stack — no external services.
@@ -45,6 +46,12 @@ Every file is safe for concurrent access:
 * payload floats round-trip exactly (``float64`` in, ``float64``
   out), so a cache hit is bit-identical to recomputing the run.
 
+Only rows of the current :data:`~repro.store.fingerprint.STORE_SCHEMA_VERSION`
+are visible: ``get``, ``summary`` and ``in`` miss an older row, and
+``len``, ``fingerprints``, ``stats``, ``export``, ``iter_rows`` and
+:func:`merge_stores` skip it.  ``evict`` and ``clear`` act on every
+row, so ``repro cache clear`` reclaims the old ones.
+
 The default one-file store is ``$REPRO_CACHE_DIR/runstore.sqlite``
 when that variable is set, else ``$XDG_CACHE_HOME/repro/runstore.sqlite``,
 else ``~/.cache/repro/runstore.sqlite``; the default directory store
@@ -53,6 +60,7 @@ is ``runstore-shards/`` next to it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sqlite3
@@ -67,7 +75,8 @@ import numpy as np
 from repro import telemetry as _telemetry
 from repro.exceptions import ConfigurationError, ReproError
 from repro.simulation.io import result_from_metadata, result_metadata
-from repro.simulation.results import TRACE_NAMES, SimulationResult
+from repro.simulation.results import TRACE_NAMES, ResultSummary, SimulationResult
+from repro.store.fingerprint import STORE_SCHEMA_VERSION
 from repro.types import TimeSeries
 
 __all__ = [
@@ -151,11 +160,14 @@ class StoreContentionError(ReproError):
 
 
 class StoreCorruptionError(ReproError):
-    """A stored row's payload could not be decoded.
+    """A stored row's payload or summary could not be decoded.
 
-    Raised by :meth:`RunStore.get` (and so by every cache replay) for a
-    truncated or corrupt payload or an unknown codec; the message names
-    the fingerprint and the database file.
+    Raised by :meth:`RunStore.get` (and so by every full cache replay)
+    for a truncated or corrupt payload or an unknown codec, and by
+    :meth:`RunStore.summary` (and so by every summary-only replay) for a
+    ``summary_json`` that is not a JSON object with exactly the
+    :class:`~repro.simulation.results.ResultSummary` fields; the message
+    names the fingerprint and the database file.
     """
 
 
@@ -163,6 +175,26 @@ class StoreCorruptionError(ReproError):
 #: header (``struct.error``), bad JSON/UTF-8, a wrong block length or an
 #: unknown codec (``ValueError``), a header without its keys.
 _DECODE_ERRORS = (struct.error, ValueError, KeyError, TypeError)
+
+
+def _corruption(
+    what: str, fingerprint: str, path: Path, exc: Exception
+) -> StoreCorruptionError:
+    return StoreCorruptionError(
+        f"stored {what} {fingerprint} in {path} cannot be decoded: "
+        f"{type(exc).__name__}: {exc}"
+    )
+
+
+def _decode_summary(text: str, fingerprint: str, path: Path) -> ResultSummary:
+    """The :class:`ResultSummary` a row's ``summary_json`` holds."""
+    try:
+        fields = json.loads(text)
+        if not isinstance(fields, dict):
+            raise TypeError(f"a JSON {type(fields).__name__}, not an object")
+        return ResultSummary(**fields)
+    except (ValueError, TypeError) as exc:  # bad JSON, missing/extra keys
+        raise _corruption("summary of run", fingerprint, path, exc) from exc
 
 
 def _is_lock_error(exc: sqlite3.OperationalError) -> bool:
@@ -395,6 +427,12 @@ class _File:
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.executescript(_SCHEMA)
         conn.commit()
+        # Every read goes through this view: a row of another schema
+        # version can never be served, so no read sees it.
+        conn.execute(
+            "CREATE TEMP VIEW IF NOT EXISTS live_runs AS SELECT * FROM runs "
+            f"WHERE schema_version = {int(STORE_SCHEMA_VERSION)}"
+        )
         self._conn = conn
         self._pid = os.getpid()
         return conn
@@ -448,7 +486,8 @@ class RunStore:
     :class:`~repro.simulation.results.SimulationResult` payloads plus
     queryable metadata (scenario name, seed, horizon, headline summary).
     :meth:`get` decodes a run's full payload; :meth:`summary` reads only
-    its stored headline summary, which is all a service hit needs.
+    its stored :class:`ResultSummary`, which is all a service hit or a
+    sweep replay needs.
 
     ``path`` is a ``.sqlite`` file or a directory of ``shards`` files
     (see the module docstring).  ``shards`` may be omitted when opening
@@ -627,11 +666,13 @@ class RunStore:
         NOTHING``), so a ``readwrite`` cache hit causes zero WAL churn
         and the entry keeps its original ``created_at``.  Returns
         whether a new row was written.
-        """
-        from repro.store.fingerprint import STORE_SCHEMA_VERSION
 
+        ``summary_json`` holds the exact :class:`ResultSummary`
+        (unrounded floats, every detection time), so a summary-only
+        replay reduces it exactly as it would the decoded run.
+        """
         payload = _encode_payload(result)
-        summary = json.dumps(result.summary().as_dict())
+        summary = json.dumps(dataclasses.asdict(result.summary()))
         self.prepare()
         written = self._file(fingerprint).insert(
             (
@@ -672,7 +713,7 @@ class RunStore:
         row = None
         if file.path.exists():
             row = file.connect().execute(
-                f"SELECT {columns} FROM runs WHERE fingerprint = ?",
+                f"SELECT {columns} FROM live_runs WHERE fingerprint = ?",
                 (fingerprint,),
             ).fetchone()
         _telemetry.incr("store.misses" if row is None else "store.hits")
@@ -691,47 +732,52 @@ class RunStore:
         try:
             return _decode_payload(row[0], row[1])
         except _DECODE_ERRORS as exc:
-            raise StoreCorruptionError(
-                f"stored run {fingerprint} in {file.path} cannot be decoded: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+            raise _corruption("run", fingerprint, file.path, exc) from exc
 
-    def summary(self, fingerprint: str) -> Optional[dict]:
-        """The stored headline summary of ``fingerprint`` (``None`` on miss).
+    def summary(self, fingerprint: str) -> Optional[ResultSummary]:
+        """The stored :class:`ResultSummary` of ``fingerprint`` (``None`` on miss).
 
-        Reads only the row's ``summary_json`` column — the
-        ``ResultSummary.as_dict()`` written by :meth:`put` — so the
-        payload is neither read nor checked.
+        Reads only the row's ``summary_json`` column, so the payload is
+        neither read nor checked.  Every read that needs only a run's
+        headline numbers goes through here: service hits, and the cache
+        hits of a batch whose reducer is a
+        :class:`~repro.simulation.batch.SummaryReducer` (sweeps and
+        Monte-Carlo).  A ``summary_json`` that is not a JSON object with
+        exactly the ``ResultSummary`` fields raises
+        :class:`StoreCorruptionError`.
         """
-        _, row = self._lookup(fingerprint, "summary_json")
-        return None if row is None else json.loads(row[0])
+        file, row = self._lookup(fingerprint, "summary_json")
+        return None if row is None else _decode_summary(row[0], fingerprint, file.path)
 
     def __contains__(self, fingerprint: str) -> bool:
         file = self._file(fingerprint)
         if not file.path.exists():
             return False
         row = file.connect().execute(
-            "SELECT 1 FROM runs WHERE fingerprint = ?", (fingerprint,)
+            "SELECT 1 FROM live_runs WHERE fingerprint = ?", (fingerprint,)
         ).fetchone()
         return row is not None
 
     def __len__(self) -> int:
         return sum(
-            file.connect().execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+            file.connect().execute("SELECT COUNT(*) FROM live_runs").fetchone()[0]
             for file in self._existing()
         )
 
     def fingerprints(self) -> List[str]:
         """All stored fingerprints, sorted."""
-        return sorted(row["fingerprint"] for row in self._rows(("fingerprint",)))
+        return sorted(row["fingerprint"] for _, row in self._rows(("fingerprint",)))
 
     # -- raw-row transfer (the merge substrate) ------------------------
 
-    def _rows(self, columns: Tuple[str, ...]) -> Iterator[Dict[str, Any]]:
-        sql = f"SELECT {', '.join(columns)} FROM runs ORDER BY fingerprint"
+    def _rows(
+        self, columns: Tuple[str, ...]
+    ) -> Iterator[Tuple[_File, Dict[str, Any]]]:
+        """Each visible row's ``columns``, with its file."""
+        sql = f"SELECT {', '.join(columns)} FROM live_runs ORDER BY fingerprint"
         for file in self._existing():
             for row in file.connect().execute(sql):
-                yield dict(zip(columns, row))
+                yield file, dict(zip(columns, row))
 
     def iter_rows(self) -> Iterator[Dict[str, Any]]:
         """Yield every stored row as a :data:`ROW_COLUMNS` dict.
@@ -741,7 +787,7 @@ class RunStore:
         bit-preserving by construction.  Rows come out in fingerprint
         order within each file, file by file.
         """
-        return self._rows(ROW_COLUMNS)
+        return (row for _, row in self._rows(ROW_COLUMNS))
 
     def put_row(self, row: Dict[str, Any]) -> bool:
         """Insert one raw row (immutable semantics, like :meth:`put`).
@@ -771,10 +817,10 @@ class RunStore:
             if file.path.exists():
                 conn = file.connect()
                 entries, payload_bytes = conn.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(payload_bytes), 0) FROM runs"
+                    "SELECT COUNT(*), COALESCE(SUM(payload_bytes), 0) FROM live_runs"
                 ).fetchone()
                 for name, count in conn.execute(
-                    "SELECT name, COUNT(*) FROM runs GROUP BY name"
+                    "SELECT name, COUNT(*) FROM live_runs GROUP BY name"
                 ):
                     by_scenario[str(name)] = by_scenario.get(str(name), 0) + count
                 db_bytes = file.path.stat().st_size
@@ -810,7 +856,8 @@ class RunStore:
         ``fingerprints`` limits eviction to those keys (each routed to
         its own file); ``before`` (a UNIX timestamp) evicts entries
         created earlier than it.  With neither filter, everything is
-        evicted.
+        evicted.  Rows of an older schema version are evicted like any
+        other, although no read sees them.
         """
         if fingerprints is None:
             groups: Dict[int, Optional[List[str]]] = dict.fromkeys(
@@ -866,11 +913,13 @@ class RunStore:
                 "sensor_seed": row["sensor_seed"],
                 "horizon": row["horizon"],
                 "spec": json.loads(row["spec_json"]),
-                "summary": json.loads(row["summary_json"]),
+                "summary": _decode_summary(
+                    row["summary_json"], row["fingerprint"], file.path
+                ).as_dict(),
                 "payload_bytes": row["payload_bytes"],
                 "created_at": row["created_at"],
             }
-            for row in self._rows(_EXPORT_COLUMNS)
+            for file, row in self._rows(_EXPORT_COLUMNS)
         ]
         entries.sort(key=lambda entry: entry["fingerprint"])
         document: Dict[str, Any] = {"store": str(self._path)}

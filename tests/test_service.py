@@ -36,7 +36,7 @@ from repro.service.jobs import JobManager, compute_record
 from repro.simulation.batch import RunRecord, RunSpec, execute_batch
 from repro.simulation.io import result_to_dict
 from repro.simulation.spec import scenario_from_dict, scenario_to_dict
-from repro.store import RunStore
+from repro.store import RunStore, shard_index
 
 #: Short horizon keeps the attack window empty — fast, clean runs.
 FAST = repro.fig2_scenario("dos", horizon=20.0)
@@ -65,6 +65,13 @@ def stored_rows(store):
          for row in store.iter_rows()),
         key=lambda row: row["fingerprint"],
     )
+
+
+def _row_file(store, fingerprint):
+    """The database file of ``store`` that holds ``fingerprint``."""
+    if store.path.suffix == ".sqlite":
+        return store.path
+    return store.path / f"shard-{shard_index(fingerprint, store.shards):04d}.sqlite"
 
 
 def record_calls(monkeypatch, *names):
@@ -318,6 +325,42 @@ class TestSummaryReads:
                     "127.0.0.1", port, "GET", f"/v1/runs/{fingerprint}"
                 )
                 assert status == 200 and stored["summary"] == miss["result"]
+            finally:
+                await stop_app(app)
+
+        run_async(scenario())
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_damaged_summary_hit_is_500_naming_the_run(self, tmp_path, shards):
+        store = make_store(tmp_path / "service", shards)
+
+        async def scenario():
+            app = await start_app(tmp_path, store=store)
+            try:
+                port = app.port
+                _, miss = await fetch_json(
+                    "127.0.0.1", port, "POST", "/v1/runs?wait=1", SPEC
+                )
+                fingerprint = miss["fingerprint"]
+                with sqlite3.connect(_row_file(store, fingerprint)) as conn:
+                    conn.execute(
+                        "UPDATE runs SET summary_json = '[]' WHERE fingerprint = ?",
+                        (fingerprint,),
+                    )
+                replies = [
+                    await fetch_json("127.0.0.1", port, "POST", "/v1/runs", SPEC),
+                    await fetch_json("127.0.0.1", port, "GET", f"/v1/runs/{fingerprint}"),
+                ]
+                for status, failed in replies:
+                    assert status == 500
+                    assert failed["error"].startswith("StoreCorruptionError")
+                    assert fingerprint in failed["error"]
+                    assert str(_row_file(store, fingerprint)) in failed["error"]
+                # ?trace=1 rebuilds the summary from the intact payload.
+                status, traced = await fetch_json(
+                    "127.0.0.1", port, "GET", f"/v1/runs/{fingerprint}?trace=1"
+                )
+                assert status == 200 and traced["summary"] == miss["result"]
             finally:
                 await stop_app(app)
 
@@ -710,7 +753,9 @@ class TestProcessPool:
         [(_, pid, thread)] = writes
         assert pid == os.getpid() and thread != loop_thread
         with RunStore(tmp_path / "service.sqlite") as store:
-            assert store.summary(reply["fingerprint"]) == reply["result"]
+            stored = store.summary(reply["fingerprint"])
+        assert stored == repro.run(FAST).summary()
+        assert stored.as_dict() == reply["result"]
 
 
 #: Distinct miss bodies: toggles and seed all reach the stored row.
@@ -763,11 +808,13 @@ class TestWhoeverComputesStores:
         with make_store(tmp_path / "library", shards) as library:
             execute_batch(specs, cache=library, backend="scalar")
             expected = stored_rows(library)
+            summaries = [library.summary(spec._fingerprint) for spec in specs]
         with make_store(tmp_path / "service", shards) as served:
             assert stored_rows(served) == expected
             # A miss answers with exactly the summary the row stores.
-            for reply in replies:
-                assert reply["result"] == served.summary(reply["fingerprint"])
+            for reply, summary in zip(replies, summaries):
+                assert served.summary(reply["fingerprint"]) == summary
+                assert reply["result"] == summary.as_dict()
         assert [reply["fingerprint"] for reply in replies] == [
             spec._fingerprint for spec in specs
         ]

@@ -24,6 +24,7 @@ from repro.simulation import (
     run_monte_carlo,
 )
 from repro.simulation.results import TRACE_NAMES
+from repro.simulation.sweep import SweepCell, run_sweep
 from repro.store import (
     CACHE_MODES,
     CacheBinding,
@@ -186,9 +187,9 @@ class TestRunStore:
             assert merge_stores(store, dest) == len(headline_runs)
             for copy in (store, dest):
                 for key, result in headline_runs.items():
-                    expected = result.summary().as_dict()
+                    expected = result.summary()
                     assert copy.summary(key) == expected
-                    assert copy.get(key).summary().as_dict() == expected
+                    assert copy.get(key).summary() == expected
 
     def test_summary_counts_hits_and_misses_like_get(self, tmp_path):
         with self.open(tmp_path / "s") as store:
@@ -357,7 +358,7 @@ class TestCorruptRows:
             with pytest.raises(StoreCorruptionError) as info:
                 store.get(key)
             # Claim boundary: a summary-only read trusts the row.
-            assert store.summary(key) == repro.run(FAST).summary().as_dict()
+            assert store.summary(key) == repro.run(FAST).summary()
         assert key in str(info.value)
         assert str(path) in str(info.value)
         assert isinstance(info.value, ReproError)
@@ -373,6 +374,109 @@ class TestCorruptRows:
                 repro.run(FAST, cache=store)
             with pytest.raises(StoreCorruptionError, match=key):
                 execute_batch([spec], cache=store)
+
+
+def _database_files(store):
+    return [store.path] if store.path.is_file() else sorted(store.path.glob("*.sqlite"))
+
+
+def _damage_summaries(store, how):
+    """Overwrite the ``summary_json`` of every row in every file of ``store``."""
+    for path in _database_files(store):
+        with sqlite3.connect(path) as conn:
+            rows = conn.execute("SELECT fingerprint, summary_json FROM runs").fetchall()
+            for fingerprint, text in rows:
+                fields = json.loads(text)
+                if how == "missing_key":
+                    del fields["min_gap"]
+                elif how == "extra_key":
+                    fields["min_gap_m"] = fields["min_gap"]
+                damaged = {"bad_json": "{nope", "not_an_object": "[1, 2]"}.get(
+                    how, json.dumps(fields)
+                )
+                conn.execute(
+                    "UPDATE runs SET summary_json = ? WHERE fingerprint = ?",
+                    (damaged, fingerprint),
+                )
+
+
+SUMMARY_DAMAGE = ("bad_json", "not_an_object", "missing_key", "extra_key")
+
+
+class TestCorruptSummaries:
+    """A row whose summary is not exactly a ``ResultSummary`` fails
+    loudly on every read of it, naming the run and the file."""
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    @pytest.mark.parametrize("how", SUMMARY_DAMAGE)
+    def test_summary_names_run_and_file(self, tmp_path, shards, how):
+        key = run_fingerprint(RunSpec(FAST))
+        with TestCorruptRows._store(tmp_path, shards) as store:
+            execute_batch([RunSpec(FAST)], cache=store)
+            _damage_summaries(store, how)
+            with pytest.raises(StoreCorruptionError) as info:
+                store.summary(key)
+            with pytest.raises(StoreCorruptionError, match=key):
+                store.export(tmp_path / "inventory.json")
+            # A full replay reads the payload, not the summary.
+            assert result_to_dict(store.get(key)) == result_to_dict(repro.run(FAST))
+        assert key in str(info.value)
+        assert str(TestCorruptRows._file(tmp_path, shards, key)) in str(info.value)
+        assert isinstance(info.value, ReproError)
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    @pytest.mark.parametrize("how", SUMMARY_DAMAGE)
+    def test_summary_replays_fail_loudly(self, tmp_path, shards, how):
+        sweep = dict(metric="min_gap", schedule="fixed", min_runs=2, max_runs=2)
+        cells = [SweepCell("fast", FAST)]
+        with TestCorruptRows._store(tmp_path, shards) as store:
+            run_sweep(cells, cache=store, **sweep)
+            run_monte_carlo(FAST, [FAST.sensor_seed], cache=store)
+            _damage_summaries(store, how)
+            with pytest.raises(StoreCorruptionError, match="stored summary of run"):
+                run_sweep(cells, cache=store, **sweep)
+            with pytest.raises(StoreCorruptionError, match=run_fingerprint(RunSpec(FAST))):
+                run_monte_carlo(FAST, [FAST.sensor_seed], cache=store)
+
+
+class TestOlderSchemaRows:
+    """Rows of another ``STORE_SCHEMA_VERSION`` can never be served, so
+    no read sees them; only eviction (``repro cache clear``) removes them."""
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_invisible_until_cleared(self, tmp_path, shards):
+        with RunStore(tmp_path / "source.sqlite") as source:
+            execute_batch([RunSpec(FAST)], cache=source)
+            [row] = source.iter_rows()
+        old = {**row, "fingerprint": "a" * 64, "schema_version": STORE_SCHEMA_VERSION - 1}
+        spec = RunSpec(FAST, defended=False)
+        key = spec._fingerprint
+        with TestCorruptRows._store(tmp_path, shards) as store:
+            assert store.put_row(old)
+            execute_batch([spec], cache=store)
+            assert store.get(old["fingerprint"]) is None
+            assert store.summary(old["fingerprint"]) is None
+            assert old["fingerprint"] not in store
+            assert len(store) == 1
+            assert store.fingerprints() == [key]
+            assert [row["fingerprint"] for row in store.iter_rows()] == [key]
+            stats = store.stats()
+            assert stats.entries == 1
+            assert dict(stats.by_scenario) == {store.summary(key).name: 1}
+            inventory = json.loads(store.export(tmp_path / "inventory.json").read_text())
+            assert [entry["fingerprint"] for entry in inventory["entries"]] == [key]
+            with RunStore(tmp_path / "merged.sqlite") as merged:
+                assert merge_stores(store, merged) == 1
+                assert merged.fingerprints() == [key]
+            out = io.StringIO()
+            assert main(["cache", "stats", "--store", str(store.path), "--json"], out=out) == 0
+            assert json.loads(out.getvalue())["entries"] == 1
+            assert store.clear() == 2  # the old row is reclaimed too
+            raw_rows = 0
+            for path in _database_files(store):
+                with sqlite3.connect(path) as conn:
+                    raw_rows += conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+            assert raw_rows == 0
 
 
 def _payload(path, fingerprint):
@@ -505,11 +609,12 @@ class TestPayloadCodec:
             batch = execute_batch([spec], cache=store)
             assert batch.cache_hits == 0
             assert key != old_key
-            assert store.fingerprints() == sorted([old_key, key])
+            assert store.fingerprints() == [key]
             assert result_to_dict(store.get(key)) == result_to_dict(result)
-            with pytest.raises(StoreCorruptionError, match="zlib-f64-v1"):
-                store.get(old_key)
-            assert store.summary(old_key) == result.summary().as_dict()
+            # An older schema's row is invisible to every read.
+            assert store.get(old_key) is None
+            assert store.summary(old_key) is None
+            assert old_key not in store
 
 
 class TestCacheBinding:
