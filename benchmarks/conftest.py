@@ -20,6 +20,7 @@ import os
 import platform
 import subprocess
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -31,24 +32,34 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def host_header(bench: str, smoke: bool) -> dict:
-    """The header of a committed ``BENCH_*.json``: what ran, and where."""
+def _git(*args: str) -> Optional[str]:
+    """Stripped stdout of ``git <args>`` in the repo; None without git."""
     try:
         done = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
         )
-        git_sha = done.stdout.strip() or "unknown"
     except OSError:  # no git on this host
-        git_sha = "unknown"
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def host_header(bench: str, smoke: bool) -> dict:
+    """The header of a committed ``BENCH_*.json``: what ran, and where.
+
+    ``git_dirty`` is True when tracked files differ from ``git_sha``
+    (the numbers then measure uncommitted code), None without git.
+    """
+    status = _git("status", "--porcelain", "--untracked-files=no")
     return {
         "bench": bench,
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "git_sha": git_sha,
+        "git_sha": _git("rev-parse", "HEAD") or "unknown",
+        "git_dirty": None if status is None else bool(status),
         "smoke": smoke,
     }
 

@@ -136,23 +136,34 @@ class SimulationResult:
         return float(np.min(gaps)) if gaps.size else float("nan")
 
     def summary(self) -> ResultSummary:
-        """Headline numbers for tables."""
-        times = self.times
-        gaps = self.array("true_distance")
-        estimated = self.array("estimated_flag")
-        speeds = self.array("follower_velocity")
+        """Headline numbers for tables.
+
+        End values come straight off the recorded lists: converting a
+        whole trace to an array just to read its last sample was most
+        of this call's cost.
+        """
+        gap_series = self.series("true_distance")
+        gaps = gap_series.values
+        estimated = self.series("estimated_flag").values
+        speeds = self.series("follower_velocity").values
         detections = self.detection_times
         return ResultSummary(
             name=self.name,
-            duration=float(times[-1]) if times.size else 0.0,
-            min_gap=float(np.min(gaps)) if gaps.size else float("nan"),
-            final_gap=float(gaps[-1]) if gaps.size else float("nan"),
+            duration=float(gap_series.times[-1]) if len(gap_series) else 0.0,
+            min_gap=(
+                float(np.min(np.asarray(gaps, dtype=float)))
+                if len(gaps) else float("nan")
+            ),
+            final_gap=float(gaps[-1]) if len(gaps) else float("nan"),
             collided=self.collided,
             collision_time=self.collision_time,
             detection_times=detections,
             first_detection_time=detections[0] if detections else None,
-            estimated_samples=int(np.sum(estimated)) if estimated.size else 0,
-            final_follower_speed=float(speeds[-1]) if speeds.size else float("nan"),
+            estimated_samples=(
+                int(np.sum(np.asarray(estimated, dtype=float)))
+                if len(estimated) else 0
+            ),
+            final_follower_speed=float(speeds[-1]) if len(speeds) else float("nan"),
         )
 
 

@@ -36,9 +36,10 @@ fingerprint with the spec format revision.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.attacks import (
     Attack,
@@ -88,6 +89,25 @@ SPEC_VERSION = 2
 
 #: Spec revisions :func:`scenario_from_dict` accepts.
 READABLE_SPEC_VERSIONS = (1, 2)
+
+
+# ----------------------------------------------------------------------
+# parameter objects
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _params_to_dict(params: Any) -> Dict[str, Any]:
+    """A parameter dataclass as a dict, in field order.
+
+    Equal to ``dataclasses.asdict`` without its deep copy of every leaf:
+    the parameter classes a spec carries hold only str/int/float/bool/
+    None fields, so one flat copy is already independent of the object.
+    """
+    return {name: getattr(params, name) for name in _field_names(type(params))}
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +171,7 @@ def _attack_to_dict(attack: Attack) -> Dict[str, Any]:
         return {
             "kind": "dos",
             **window,
-            "jammer": dataclasses.asdict(attack.jammer),
+            "jammer": _params_to_dict(attack.jammer),
         }
     if isinstance(attack, DelayInjectionAttack):
         return {
@@ -229,11 +249,11 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
     if scenario.attack is not None:
         spec["attack"] = _attack_to_dict(scenario.attack)
     spec["challenge_times"] = list(scenario.challenge_times)
-    spec["defense"] = dataclasses.asdict(scenario.defense)
-    spec["acc_params"] = dataclasses.asdict(scenario.acc_params)
-    spec["radar_params"] = dataclasses.asdict(scenario.radar_params)
+    spec["defense"] = _params_to_dict(scenario.defense)
+    spec["acc_params"] = _params_to_dict(scenario.acc_params)
+    spec["radar_params"] = _params_to_dict(scenario.radar_params)
     if scenario.idm_params is not None:
-        spec["idm_params"] = dataclasses.asdict(scenario.idm_params)
+        spec["idm_params"] = _params_to_dict(scenario.idm_params)
     return spec
 
 

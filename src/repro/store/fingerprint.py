@@ -9,11 +9,16 @@ through the declarative dict form of :mod:`repro.simulation.spec`,
 rendered as *canonical JSON* (sorted keys, no whitespace), salted with
 a schema version, and hashed with SHA-256.
 
-Two specs share a fingerprint iff they describe the same computation,
-so a fingerprint can safely key a persistent result cache:
+Two specs that share a fingerprint describe the same computation, so
+a fingerprint can safely key a persistent result cache:
 
 * the spec dict is produced from the :class:`Scenario` object, so
-  numerically equal configurations normalize to the same dict;
+  two specs built differently (factory, overrides, a JSON file) but
+  holding the same field values share one dict.  Numeric types are
+  *not* normalized: ``horizon=300`` renders ``300`` and ``horizon=300.0``
+  renders ``300.0``, so the two get different fingerprints.  That costs
+  a redundant miss (the run is computed and stored twice), never a
+  wrong hit;
 * the :class:`RunSpec` ``tag`` is a display label, not an input to the
   simulation, and is deliberately **excluded**;
 * bumping :data:`STORE_SCHEMA_VERSION` (done whenever the engine or the
@@ -57,6 +62,16 @@ def _coerce_scalar(obj: Any) -> Any:
     )
 
 
+#: The one canonical-JSON encoder.  ``json.dumps`` with these settings
+#: would build a fresh encoder per call; encoding keeps no state on it.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    ensure_ascii=True,
+    default=_coerce_scalar,
+)
+
+
 def canonical_json(obj: Any) -> str:
     """Render ``obj`` as canonical JSON: sorted keys, no whitespace.
 
@@ -65,13 +80,7 @@ def canonical_json(obj: Any) -> str:
     unwrapped via ``.item()``); any other object type raises
     ``TypeError`` rather than hashing something unstable.
     """
-    return json.dumps(
-        obj,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        default=_coerce_scalar,
-    )
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def fingerprint_payload(spec: RunSpec) -> Optional[Dict[str, Any]]:

@@ -11,6 +11,7 @@ every execution mode, and that it never decodes a payload.
 import sqlite3
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro
@@ -26,7 +27,8 @@ from repro.simulation import (
     run_monte_carlo,
 )
 from repro.simulation.monte_carlo import SeedOutcome, _seed_outcome
-from repro.simulation.results import TRACE_NAMES
+from repro.simulation.results import TRACE_NAMES, ResultSummary
+from repro.simulation.scenario import DEFENSE_STRATEGIES
 from repro.simulation.sweep import SweepCell, run_sweep
 from repro.store import RunStore, StoreCorruptionError, run_fingerprint
 from repro.types import DetectionEvent
@@ -217,3 +219,52 @@ def test_stored_summary_is_exact(tmp_path):
     assert stored == result.summary()
     assert stored.min_gap != round(stored.min_gap, 2)
     assert stored.detection_times == result.detection_times
+
+
+def _summary_from_arrays(result):
+    """``SimulationResult.summary`` computed from whole trace arrays."""
+    times = result.times
+    gaps = result.array("true_distance")
+    estimated = result.array("estimated_flag")
+    speeds = result.array("follower_velocity")
+    detections = result.detection_times
+    return ResultSummary(
+        name=result.name,
+        duration=float(times[-1]) if times.size else 0.0,
+        min_gap=float(np.min(gaps)) if gaps.size else float("nan"),
+        final_gap=float(gaps[-1]) if gaps.size else float("nan"),
+        collided=result.collided,
+        collision_time=result.collision_time,
+        detection_times=detections,
+        first_detection_time=detections[0] if detections else None,
+        estimated_samples=int(np.sum(estimated)) if estimated.size else 0,
+        final_follower_speed=float(speeds[-1]) if speeds.size else float("nan"),
+    )
+
+
+@pytest.mark.parametrize("strategy", DEFENSE_STRATEGIES)
+@pytest.mark.parametrize("panel", PANELS)
+def test_summary_equals_the_array_reference(panel, strategy):
+    result = repro.run(_strategy(panel, strategy))
+    assert result.summary() == _summary_from_arrays(result)
+
+
+@pytest.mark.parametrize(
+    "scenario, defended",
+    [
+        (_strategy("fig2a", "secure_reconstruction").with_overrides(
+            sensor_seed=COLLIDING_SEED
+        ), True),
+        (panel_scenario("fig2a"), False),
+    ],
+    ids=["secure_reconstruction-collides", "undefended-collides"],
+)
+def test_summary_of_a_collision_equals_the_array_reference(scenario, defended):
+    result = repro.run(scenario, defended=defended)
+    assert result.collided
+    assert result.summary() == _summary_from_arrays(result)
+
+
+def test_summary_of_an_empty_run_equals_the_array_reference():
+    result = SimulationResult.empty("empty")
+    assert repr(result.summary()) == repr(_summary_from_arrays(result))
