@@ -6,12 +6,26 @@ implementation for complex baseband signals:
 
 1. Build an ``M x M`` sample covariance from overlapping length-``M``
    snapshots of the signal (spatial smoothing).
-2. Eigendecompose; the ``M - K`` smallest eigenvectors span the noise
-   subspace ``E_n``.
-3. Form the root-MUSIC polynomial ``D(z) = p(1/z)^T E_n E_n^H p(z)``
-   with ``p(z) = [1, z, ..., z^{M-1}]^T`` and find its roots; the ``K``
-   roots closest to (and inside) the unit circle sit at
-   ``z = exp(j 2π f / fs)``.
+2. Eigendecompose; the ``K`` largest eigenvectors span the signal
+   subspace ``U``, and the noise-subspace projector is
+   ``P = E_n E_n^H = I - U U^H``.
+3. Form the root-MUSIC polynomial ``D(z) = p(1/z)^T P p(z) =
+   sum_k c_k z^k`` with ``p(z) = [1, z, ..., z^{M-1}]^T``; its
+   coefficient ``c_k = trace(P, k) = M δ_k - sum_j autocorr(U[:, j])(k)``
+   is one correlation per source.  ``P`` is Hermitian, so
+   ``c_{-k} = conj(c_k)`` and ``D`` is real on the unit circle.  The
+   Cayley map ``z = (w + j) / (w - j)`` takes the unit circle to the
+   real line, so ``(w - j)^{2M-2} D(z)`` is a polynomial in ``w`` of the
+   same degree ``2M - 2`` with *real* coefficients: a fixed per-order
+   basis matrix times the ``c_k``.  Its roots are the eigenvalues of a
+   real companion matrix (about a third of the cost of the complex
+   one); each maps back to a root of ``D``, a conjugate pair in ``w``
+   being a ``(z, 1/conj(z))`` pair in ``z``.  The ``K`` roots closest to (and
+   inside) the unit circle sit at ``z = exp(j 2π f / fs)``.
+   The basis entries grow like ``2^{2M}`` and cancel in the sum, so
+   precision falls with the order: ``M`` is capped at
+   :data:`MAX_COVARIANCE_ORDER`, the largest order the test suite
+   checks against the complex-polynomial formulation.
 
 A simple FFT-with-parabolic-refinement single-tone estimator is also
 provided as an independent cross-check used by the test suite.
@@ -19,13 +33,22 @@ provided as an independent cross-check used by the test suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
 from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import SpectralEstimationError
 
-__all__ = ["root_music", "estimate_single_tone"]
+__all__ = ["MAX_COVARIANCE_ORDER", "root_music", "estimate_single_tone"]
+
+#: Largest covariance order ``M`` :func:`root_music` accepts: the
+#: largest one its test suite checks against the complex-polynomial
+#: formulation (to 1e-9 of the sample rate).  Past it the real basis
+#: loses digits to cancellation: at ``M = 44`` one two-tone case of
+#: that test grid already picks the wrong root.
+MAX_COVARIANCE_ORDER = 32
 
 
 def _covariance_matrix(signal: np.ndarray, order: int) -> np.ndarray:
@@ -36,10 +59,48 @@ def _covariance_matrix(signal: np.ndarray, order: int) -> np.ndarray:
     exponentials, which is wrong for the one-sided beat spectrum of an
     IQ-dechirped FMCW return.
     """
-    snapshots = np.lib.stride_tricks.sliding_window_view(signal, order)
-    # Rows are length-``order`` snapshots x_k^T; covariance is
-    # E[x x^H], i.e. R[m, n] = mean_k x_k[m] conj(x_k[n]).
-    return snapshots.T @ snapshots.conj() / snapshots.shape[0]
+    # Columns are length-``order`` snapshots x_k; covariance is
+    # E[x x^H], i.e. R[m, n] = mean_k x_k[m] conj(x_k[n]).  The copy
+    # makes the product one BLAS call: numpy cannot hand the strided
+    # window view to BLAS and multiplied it ~10x slower.
+    snapshots = np.lib.stride_tricks.sliding_window_view(signal, order).T.copy()
+    return snapshots @ snapshots.conj().T / snapshots.shape[1]
+
+
+@lru_cache(maxsize=None)  # one entry per order, at most MAX_COVARIANCE_ORDER
+def _cayley_basis(order: int) -> np.ndarray:
+    """The real ``(2M-1, 2M-1)`` Cayley basis of one order ``M``.
+
+    It maps ``[c_0, Re c_1..c_{M-1}, Im c_1..c_{M-1}]`` to the real
+    coefficients (highest power first) of
+    ``sum_k c_k (w + j)^{M-1+k} (w - j)^{M-1-k}``.  The coefficient of
+    ``w^{N-i}`` in ``(w + j)^a (w - j)^b`` (``N = a + b``) is
+    ``j^i sum_s (-1)^{i-s} C(a, s) C(b, i-s)``; it is built in exact
+    integers and rounded once.  By ``c_{-k} = conj(c_k)`` the ``-k``
+    term is the conjugate of the ``+k`` one, so the sum is
+    ``c_0 B_0 + 2 Re sum_{k>0} c_k B_k``.
+    """
+    degree = 2 * order - 2
+
+    def row(k: int) -> np.ndarray:
+        a, b = order - 1 + k, order - 1 - k
+        out = np.empty(degree + 1, dtype=complex)
+        for i in range(degree + 1):
+            total = sum(
+                (-1) ** (i - s) * comb(a, s) * comb(b, i - s)
+                for s in range(max(0, i - b), min(a, i) + 1)
+            )
+            out[i] = 1j**i * total
+        return out
+
+    rows = [row(k) for k in range(order)]
+    basis = np.vstack(
+        [rows[0].real]
+        + [2.0 * r.real for r in rows[1:]]
+        + [-2.0 * r.imag for r in rows[1:]]
+    )
+    basis.flags.writeable = False
+    return basis
 
 
 def root_music(
@@ -62,7 +123,8 @@ def root_music(
     covariance_order:
         Size ``M`` of the smoothed covariance; defaults to
         ``min(len(signal)//3, 24)`` and must satisfy
-        ``n_sources < M <= len(signal)``.
+        ``n_sources < M <= len(signal)`` and
+        ``M <= MAX_COVARIANCE_ORDER``.
 
     Returns
     -------
@@ -71,6 +133,9 @@ def root_music(
 
     Raises
     ------
+    ValueError
+        On a bad ``n_sources`` or ``sample_rate``, or a
+        ``covariance_order`` above :data:`MAX_COVARIANCE_ORDER`.
     SpectralEstimationError
         If the signal is too short or the polynomial rooting fails to
         produce ``K`` usable roots.
@@ -81,6 +146,11 @@ def root_music(
     if sample_rate <= 0.0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     order = covariance_order if covariance_order is not None else min(len(x) // 3, 24)
+    if order > MAX_COVARIANCE_ORDER:
+        raise ValueError(
+            f"covariance order {order} exceeds MAX_COVARIANCE_ORDER "
+            f"{MAX_COVARIANCE_ORDER}"
+        )
     if order <= n_sources:
         raise SpectralEstimationError(
             f"covariance order {order} must exceed n_sources {n_sources}; "
@@ -91,20 +161,30 @@ def root_music(
             f"need at least {order} samples, got {len(x)}"
         )
 
+    # numpy's BLAS only: scipy may link a second threaded BLAS, and
+    # alternating between the two thread pools here made a
+    # signal-fidelity panel ~10x slower (21 s against 2 s, 2 CPUs).
     covariance = _covariance_matrix(x, order)
     _, eigvecs = np.linalg.eigh(covariance)
-    noise_subspace = eigvecs[:, : order - n_sources]
-    projector = noise_subspace @ noise_subspace.conj().T
+    signal_subspace = eigvecs[:, order - n_sources :]
 
-    # Coefficient of z^k in p(1/z)^T C p(z) is the k-th diagonal sum of C;
-    # multiplying by z^(M-1) gives a degree 2M-2 polynomial whose
-    # coefficients (highest power first) run k = M-1 .. -(M-1).
-    coefficients = np.array(
-        [np.trace(projector, offset=k) for k in range(order - 1, -order, -1)]
-    )
-    roots = np.roots(coefficients)
-    if roots.size == 0:
-        raise SpectralEstimationError("root-MUSIC polynomial has no roots")
+    # autocorr[M-1+k] = sum_i u[i+k] conj(u[i]) = conj(trace(u u^H, k)).
+    autocorr = sum(np.correlate(u, u, "full") for u in signal_subspace.T)
+    lags = autocorr[order - 1 :]
+    # -[c_0, Re c_1..c_{M-1}, Im c_1..c_{M-1}] with c_k = M δ_k - conj(lags[k]);
+    # the overall sign does not move the roots.
+    stacked = np.concatenate((lags.real, -lags.imag[1:]))
+    stacked[0] -= order
+    coefficients = stacked @ _cayley_basis(order)
+    if coefficients[0] == 0.0:
+        # D(1) = 0 exactly: a root at w = infinity, i.e. at z = 1.
+        raise SpectralEstimationError("root-MUSIC polynomial is degenerate")
+    # Companion matrix of the monic polynomial: ones on the subdiagonal,
+    # the negated, normalized coefficients in row 0.
+    companion = np.eye(coefficients.size - 1, k=-1)
+    companion[0] = coefficients[1:] / -coefficients[0]
+    w = np.linalg.eigvals(companion)
+    roots = (w + 1j) / (w - 1j)
 
     # Roots come in conjugate-reciprocal pairs; keep the ones inside (or
     # numerically on) the unit circle, then take the K closest to it.

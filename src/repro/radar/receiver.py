@@ -12,13 +12,15 @@ velocity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
+from repro import telemetry as _telemetry
 from repro.exceptions import SpectralEstimationError
 from repro.radar.cfar import SpectralPresenceDetector
 from repro.radar.equations import invert_beat_frequencies
-from repro.radar.music import estimate_single_tone, root_music
+from repro.radar.music import MAX_COVARIANCE_ORDER, estimate_single_tone, root_music
 from repro.radar.params import FMCWParameters
 from repro.radar.signal_synth import signal_power
 
@@ -61,7 +63,10 @@ class RadarReceiver:
         presence (too low); 4x (≈6 dB) keeps both negligible for the
         LRR2 SNR envelope.
     covariance_order:
-        Forwarded to :func:`repro.radar.music.root_music`.
+        Forwarded to :func:`repro.radar.music.root_music` (capped at a
+        third of the segment length); an int in
+        ``2..MAX_COVARIANCE_ORDER``, since one beat is extracted per
+        segment.
     presence:
         ``"energy"`` (fixed threshold against the known thermal floor;
         default) or ``"cfar"`` (cell-averaging CFAR over the beat
@@ -80,6 +85,15 @@ class RadarReceiver:
             raise ValueError(
                 "detection_threshold_factor must exceed 1 (the noise floor), "
                 f"got {detection_threshold_factor}"
+            )
+        if (
+            isinstance(covariance_order, bool)
+            or not isinstance(covariance_order, Integral)
+            or not 1 < covariance_order <= MAX_COVARIANCE_ORDER
+        ):
+            raise ValueError(
+                "covariance_order must be an int in "
+                f"2..{MAX_COVARIANCE_ORDER}, got {covariance_order!r}"
             )
         if presence not in ("energy", "cfar"):
             raise ValueError(
@@ -104,7 +118,10 @@ class RadarReceiver:
         return self.detection_threshold_factor * self.params.noise_floor
 
     def _extract_frequency(self, segment: np.ndarray) -> float:
-        """Beat frequency of one segment, root-MUSIC with FFT fallback."""
+        """Beat frequency of one segment, root-MUSIC with FFT fallback.
+
+        Each fallback bumps the ``radar.music_fallbacks`` counter.
+        """
         try:
             freqs = root_music(
                 segment,
@@ -114,6 +131,7 @@ class RadarReceiver:
             )
             return float(freqs[0])
         except SpectralEstimationError:
+            _telemetry.incr("radar.music_fallbacks")
             return estimate_single_tone(segment, self.params.sample_rate)
 
     def process(self, up_segment: np.ndarray, down_segment: np.ndarray) -> ReceiverOutput:

@@ -49,7 +49,7 @@ __all__ = [
 #: Version salt mixed into every fingerprint.  Bump when the simulation
 #: engine, the spec dict schema, or the stored payload codec changes in
 #: a way that invalidates previously stored results.
-STORE_SCHEMA_VERSION = 4  # 4: summary_json holds the exact ResultSummary
+STORE_SCHEMA_VERSION = 5  # 5: root-MUSIC roots a real (Cayley-mapped) polynomial
 
 
 def _coerce_scalar(obj: Any) -> Any:

@@ -3,9 +3,11 @@
 Every run in a store is keyed by :func:`repro.store.run_fingerprint`.
 An edit that changes any byte of a spec's canonical JSON re-addresses
 every stored run, so existing stores silently stop hitting.  The
-digests below were computed with ``dataclasses.asdict`` serializing
-the parameter objects, so they also pin that the flat field copy
-renders the same bytes.  A change here must come with a
+``spec_json`` digest below was computed with ``dataclasses.asdict``
+serializing the parameter objects, so it also pins that the flat field
+copy renders the same bytes; the run fingerprints were last
+regenerated for a schema bump with that digest unchanged.  A change
+here must come with a
 :data:`~repro.store.STORE_SCHEMA_VERSION` or
 :data:`~repro.simulation.spec.SPEC_VERSION` bump.
 """
@@ -34,26 +36,26 @@ from repro.vehicle.params import ACCParameters
 
 #: ``run_fingerprint`` of each panel at the paper seed, per strategy.
 GOLDEN = {
-    ("fig2a", "rls"): "052176f8d8fa0e6e7948fd29b32d2d93e31ff5f92ae820b197e3d880c0fdcf36",
-    ("fig2a", "secure_reconstruction"): "6114bb5f8be8fad344526d17066e73ace721fc7e3066fef3184b10247268bda9",
-    ("fig2a", "safety_filter"): "5a558cbc07f10611c50c424e6836f957a5b689419bc31b6d48b0662fa91b6e4f",
-    ("fig2a", "combined"): "8769da7061cc4b593887eef44e7c4a15a39b7c9dcb1c4f26d6fbaeea7e7fa168",
-    ("fig2b", "rls"): "167a62767e88a1a43274143eb21126d385e0664f1b1001d1c84b7c8c20fd0c07",
-    ("fig2b", "secure_reconstruction"): "868924c16479fcec36a215e5daa4a0345af5768faef6b90aa2c37653e0f5c031",
-    ("fig2b", "safety_filter"): "4e5da75158123820a6c9182c07aae6685719516b8690dce54463c156b2e061cd",
-    ("fig2b", "combined"): "26d70b4f529de0bf9c58e31878dfa0d177a53fbb120455ca78059bd20681cc77",
-    ("fig3a", "rls"): "1b1e9dd9aad83769a18b702d7a4ed25b6f7647f22765b0c4cab1df90093e1fb2",
-    ("fig3a", "secure_reconstruction"): "b4d8b51aa1aaf681dccc894fe1879263befd28fbb2175d1e47fdec9216e5a99b",
-    ("fig3a", "safety_filter"): "144d6dd3ab73a0472c1405a07ec5b3fa0f6521006d3f254f5ebe8ebe6e7697bd",
-    ("fig3a", "combined"): "5c57339117ebfa8f4f8026169656cded2c6a8b4e8122af2f9f0f7ac1e4b40bdb",
-    ("fig3b", "rls"): "ddebf87ea20f4a08c0367dd82fa1c9ec94df4a730a729e83e31dd560d3d99add",
-    ("fig3b", "secure_reconstruction"): "21e07672f7217089cb055ca19255aa20a59e84639b9155c92008461dfddbbf2c",
-    ("fig3b", "safety_filter"): "e75af4874dc5932d1e4ac718f41928fb9246d7a67db9b73b951376687abe35f8",
-    ("fig3b", "combined"): "2621a6b533dc78bf994f38dcf9ca92a95cb9411e873e3c501466f7e74fc47c86",
+    ("fig2a", "rls"): "600620c0235624e90bc0322cf634ca338acedee62d86fba20f6b7d5863b00421",
+    ("fig2a", "secure_reconstruction"): "6022b88d08470f14df08b5173c9570184b67bcfd84b878c1a52fd033896b20c0",
+    ("fig2a", "safety_filter"): "31751d5ad2c03f7ba80cb2052051fdb8c347ef4f4a83dc14c5abcc9b0defa767",
+    ("fig2a", "combined"): "ee3fe305370dbe00b8ea69efe5112f4c85ce33c0ac06d6ca4ba3f6e66923d8cc",
+    ("fig2b", "rls"): "28278bdecb9067493191c4477b31ab27586e8924b884506e8c77bf4e2adabd74",
+    ("fig2b", "secure_reconstruction"): "ff2efafeeab710c70d3a68b513e7c3fb6e98ba0f525a59e9d80a65e01a7e8aa4",
+    ("fig2b", "safety_filter"): "e7d24e7ee195f4a056a2bbddbc1f5f38b42613867515ecf86647741dbdfa45d3",
+    ("fig2b", "combined"): "4e658827a904b87212d6c850c1f08ea0d2d8ea20cebc0f75757ffe8f93655526",
+    ("fig3a", "rls"): "644455498b2d23dc40739a0364c19493169389f56ec91c8509d1608be9e83ab3",
+    ("fig3a", "secure_reconstruction"): "d14aca4a4f23759bfafc6c27d243f51cf2b27bc959e2b14b1cfe2ebe5d6a74fd",
+    ("fig3a", "safety_filter"): "d28bc660b24a3b1032bf164caaffb1d5cc3d9579e917accef19f78c46605c3e7",
+    ("fig3a", "combined"): "2b8df54a1981b892adaf711a2f9184a17e75002163587655fdc1c21a2ccf2be3",
+    ("fig3b", "rls"): "0a3b798100aa1c69b243efe787fc01a49c0f67e275c2aea91e01370d3cd7878e",
+    ("fig3b", "secure_reconstruction"): "49539b0d9d6f3f2fa2054dc235ce5ca779b681da3a5a086aeb9336b2bbce69cc",
+    ("fig3b", "safety_filter"): "59175fd8c15c0692db968fca2ffda3622441c5defb49c2b0382112a59a94b05f",
+    ("fig3b", "combined"): "b15da8f97d2050ef215e37222eb1f10d0970e361c50804071de5ebfc65c95a44",
 }
 
 #: ``run_fingerprint`` of fig2a with an IDM follower (``idm_params`` set).
-GOLDEN_IDM = "faef0358f3842f7f8be2a863ff035c603f4bc944b5e20856ba4515dc419ff9e6"
+GOLDEN_IDM = "333d75ce1bdf94e261f9399405a5f1871a29782cd5d07a282e2d4a4dd968d9c5"
 
 #: SHA-256 of the ``spec_json`` column text (``json.dumps`` of
 #: ``scenario_to_dict``, which keeps key order) of every spec above,
@@ -92,7 +94,7 @@ def _idm_spec():
 
 def test_golden_set_covers_every_panel_and_strategy():
     assert set(GOLDEN) == {(p, s) for p in PANELS for s in DEFENSE_STRATEGIES}
-    assert STORE_SCHEMA_VERSION == 4
+    assert STORE_SCHEMA_VERSION == 5
 
 
 @pytest.mark.parametrize("panel, strategy", sorted(GOLDEN))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SpectralEstimationError
 from repro.radar import estimate_single_tone, root_music
+from repro.radar.music import MAX_COVARIANCE_ORDER
 from repro.radar.signal_synth import synthesize_beat_signal
 
 FS = 256e3
@@ -88,6 +89,80 @@ class TestRootMusicValidation:
     def test_order_must_exceed_sources(self):
         with pytest.raises(SpectralEstimationError):
             root_music(tone(1e3), n_sources=3, sample_rate=FS, covariance_order=3)
+
+    def test_order_above_bound_rejected(self):
+        signal = tone(1e3)
+        root_music(signal, 1, FS, covariance_order=MAX_COVARIANCE_ORDER)
+        with pytest.raises(ValueError, match="MAX_COVARIANCE_ORDER"):
+            root_music(signal, 1, FS, covariance_order=MAX_COVARIANCE_ORDER + 1)
+
+
+def reference_root_music(signal, n_sources, sample_rate, order):
+    """Root-MUSIC as the complex polynomial: the noise projector's
+    diagonal sums (``np.trace``) rooted by ``np.roots``."""
+    snapshots = np.lib.stride_tricks.sliding_window_view(signal, order)
+    covariance = snapshots.T @ snapshots.conj() / snapshots.shape[0]
+    _, eigvecs = np.linalg.eigh(covariance)
+    noise_subspace = eigvecs[:, : order - n_sources]
+    projector = noise_subspace @ noise_subspace.conj().T
+    coefficients = np.array(
+        [np.trace(projector, offset=k) for k in range(order - 1, -order, -1)]
+    )
+    roots = np.roots(coefficients)
+    inside = roots[np.abs(roots) <= 1.0 + 1e-8]
+    closest = inside[np.argsort(np.abs(np.abs(inside) - 1.0))[:n_sources]]
+    return np.sort(np.angle(closest) / (2.0 * np.pi) * sample_rate)
+
+
+#: Tone sets of the oracle grid: near DC and near either Nyquist edge,
+#: each with a second tone for K = 2.
+ORACLE_TONES = {
+    "dc": (150.0, -20e3),
+    "+nyquist": (FS / 2 - 300.0, 40e3),
+    "-nyquist": (-FS / 2 + 300.0, 3e3),
+}
+
+#: Largest allowed distance between the real Cayley kernel and the
+#: complex reference, 1e-9 of the sample rate (0.256 mHz).  The worst
+#: case on this grid is ~3e-6 Hz (order 3, two tones at 20 dB).
+ORACLE_TOLERANCE_HZ = 1e-9 * FS
+
+
+def oracle_signals():
+    rng = np.random.default_rng(2017)
+    for name, freqs in ORACLE_TONES.items():
+        for snr_db in (0.0, 20.0, 40.0):
+            for k in (1, 2):
+                noise_power = 10 ** (-snr_db / 10.0)
+                signal = sum(
+                    synthesize_beat_signal(
+                        f, 1.0, N, FS, rng=rng, phase=rng.uniform(0, 2 * np.pi)
+                    )
+                    for f in freqs[:k]
+                ) + synthesize_beat_signal(0.0, 0.0, N, FS, rng=rng, noise_power=noise_power)
+                yield f"{name}/{snr_db:g}dB", k, signal
+    noise = synthesize_beat_signal(0.0, 0.0, N, FS, rng=rng, noise_power=1.0)
+    for k in (1, 2):
+        yield "noise-only", k, noise
+
+
+class TestRealPolynomialOracle:
+    """The real (Cayley-mapped) polynomial finds the same roots as the
+    complex one at every accepted order."""
+
+    @pytest.mark.parametrize("order", range(2, MAX_COVARIANCE_ORDER + 1))
+    def test_matches_complex_reference(self, order):
+        checked = 0
+        for label, k, signal in oracle_signals():
+            if k >= order:
+                continue
+            expected = reference_root_music(signal, k, FS, order)
+            got = root_music(signal, k, FS, covariance_order=order)
+            # Frequencies live on a circle: +fs/2 and -fs/2 are one point.
+            gap = np.abs((got - expected + FS / 2) % FS - FS / 2)
+            assert gap.max() <= ORACLE_TOLERANCE_HZ, (label, k, expected, got)
+            checked += 1
+        assert checked >= 10
 
 
 class TestSingleToneFFT:

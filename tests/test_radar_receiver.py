@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.radar import FMCWParameters, RadarReceiver, beat_frequencies
 from repro.radar.link_budget import received_power
+from repro.radar.music import MAX_COVARIANCE_ORDER
 from repro.radar.signal_synth import complex_awgn, synthesize_beat_signal
 
 PARAMS = FMCWParameters()
@@ -49,6 +51,22 @@ class TestPresenceDetection:
         with pytest.raises(ValueError):
             RadarReceiver(PARAMS, detection_threshold_factor=0.5)
 
+    @pytest.mark.parametrize(
+        "order", [1, 0, MAX_COVARIANCE_ORDER + 1, 2.0, True, "24"]
+    )
+    def test_covariance_order_validation(self, order):
+        # An order root-MUSIC always refuses would send every
+        # measurement to the FFT fallback without a word.
+        with pytest.raises(ValueError, match="covariance_order"):
+            RadarReceiver(PARAMS, covariance_order=order)
+
+    @pytest.mark.parametrize("order", [2, np.int64(24), MAX_COVARIANCE_ORDER])
+    def test_covariance_order_accepted(self, order):
+        out = RadarReceiver(PARAMS, covariance_order=order).process(
+            *synth_echo(60.0, -1.5, seed=3)
+        )
+        assert out.distance == pytest.approx(60.0, abs=0.5)
+
 
 class TestMeasurementAccuracy:
     @pytest.mark.parametrize(
@@ -73,6 +91,22 @@ class TestMeasurementAccuracy:
             out = RadarReceiver(PARAMS).process(*synth_echo(60.0, -1.5, seed=seed))
             errors.append(abs(out.distance - 60.0))
         assert max(errors) < 0.5
+
+
+class TestMusicFallback:
+    def test_short_segments_fall_back_and_are_counted(self):
+        # Five samples cap the covariance order at 5 // 3 = 1, which
+        # root-MUSIC refuses; the FFT estimator answers instead.
+        up, down = (segment[:5] for segment in synth_echo(20.0, 0.0))
+        with telemetry.session() as tele:
+            out = RadarReceiver(PARAMS).process(up, down)
+        assert out.present
+        assert tele.counters["radar.music_fallbacks"] == 2
+
+    def test_full_segments_do_not_fall_back(self):
+        with telemetry.session() as tele:
+            RadarReceiver(PARAMS).process(*synth_echo(60.0, -1.5))
+        assert "radar.music_fallbacks" not in tele.counters
 
 
 class TestJammedReceiver:
