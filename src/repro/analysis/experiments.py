@@ -342,6 +342,19 @@ REGISTRY: Tuple[Experiment, ...] = (
         modules=("service", "store", "telemetry"),
         kind="extension",
     ),
+    Experiment(
+        identifier="branching",
+        title="Shared pre-attack prefix: branched vs fresh runs",
+        paper_claim="",
+        workload="each panel's undefended baseline+attacked pair at "
+        "signal and equation fidelity, and the defended fig2a+fig2b "
+        "pair of every strategy, run fresh and as one branched batch; "
+        "asserts equal payloads and branched <= fresh; writes "
+        "BENCH_branching.json",
+        bench="bench_branching.py",
+        modules=("simulation.batch", "simulation.engine"),
+        kind="extension",
+    ),
 )
 
 _BY_ID: Dict[str, Experiment] = {exp.identifier: exp for exp in REGISTRY}

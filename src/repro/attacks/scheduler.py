@@ -34,6 +34,13 @@ class AttackSchedule:
         """The registered attacks, in insertion order."""
         return tuple(self._attacks)
 
+    @property
+    def label(self) -> AttackLabel:
+        """Ground-truth label of the earliest-starting attack (NONE if empty)."""
+        if not self._attacks:
+            return AttackLabel.NONE
+        return min(self._attacks, key=lambda a: a.window.start).label
+
     def is_active(self, time: float) -> bool:
         """True when any registered attack is active at ``time``."""
         return any(a.is_active(time) for a in self._attacks)

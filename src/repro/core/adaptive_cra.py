@@ -64,6 +64,15 @@ class AdaptiveChallengePolicy:
         self._decisions[time] = challenge
         return challenge
 
+    def snapshot(self) -> object:
+        """The recorded decisions and the alert-mode clock."""
+        return dict(self._decisions), self._last_alert_challenge
+
+    def restore(self, snapshot: object) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        decisions, self._last_alert_challenge = snapshot  # type: ignore[misc]
+        self._decisions = dict(decisions)
+
     def is_challenge(self, time: float, tolerance: float = 1e-9) -> bool:
         """Schedule-compatible view of the recorded decisions.
 

@@ -78,9 +78,10 @@ class DeadReckoningEstimator(MeasurementEstimator):
         self.margin_gain = float(margin_gain)
         self._anchor: Optional[Tuple[float, float]] = None
         self._last_trusted_time: Optional[float] = None
-        # Quarantine log since the last snapshot: (time, ego speed,
-        # measurement or None).  Replayed with validation on restore.
-        self._quarantine: List[Tuple[float, float, Optional[RadarMeasurement]]] = []
+        # Log of every ingested sample and forecast: (time, ego speed,
+        # measurement or None).  A snapshot keeps the log as it was; a
+        # restore replays, with validation, what was logged after it.
+        self._log: List[Tuple[float, float, Optional[RadarMeasurement]]] = []
 
     # ------------------------------------------------------------------
 
@@ -106,7 +107,7 @@ class DeadReckoningEstimator(MeasurementEstimator):
         self.leader_velocity_predictor.observe(measurement.time, leader_velocity)
         self._anchor = (measurement.time, measurement.distance)
         self._last_trusted_time = measurement.time
-        self._quarantine.append((measurement.time, follower_speed, measurement))
+        self._log.append((measurement.time, follower_speed, measurement))
 
     def _roll_anchor(self, to_time: float, follower_speed: float) -> None:
         """Integrate the gap from the anchor to ``to_time``.
@@ -139,7 +140,7 @@ class DeadReckoningEstimator(MeasurementEstimator):
             raise EstimatorNotTrainedError(
                 "dead-reckoning estimator has no trained leader model yet"
             )
-        self._quarantine.append((time, follower_speed, None))
+        self._log.append((time, follower_speed, None))
         self._roll_anchor(time, follower_speed)
         relative_velocity = self._leader_velocity(time) - follower_speed
         return max(0.0, self._anchor[1] - self._safety_margin(time)), relative_velocity
@@ -168,14 +169,17 @@ class DeadReckoningEstimator(MeasurementEstimator):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> object:
-        """Capture the estimator state; starts a fresh quarantine log."""
-        state = (
+        """Capture the estimator state, including the sample log.
+
+        Taking a snapshot changes nothing: the samples logged after it
+        are the quarantine a later :meth:`restore` of it replays.
+        """
+        return (
             self.leader_velocity_predictor.snapshot(),
             self._anchor,
             self._last_trusted_time,
+            tuple(self._log),
         )
-        self._quarantine = []
-        return state
 
     def restore(self, snapshot: object) -> None:
         """Roll back to ``snapshot`` and replay the quarantined samples.
@@ -196,15 +200,18 @@ class DeadReckoningEstimator(MeasurementEstimator):
         anchor by ~gate per quarantined sample, a bounded residual error
         the safety margin covers.
         """
-        predictor, anchor, last_trusted = snapshot  # type: ignore[misc]
+        predictor, anchor, last_trusted, log = snapshot  # type: ignore[misc]
+        # Quarantined: what this estimator logged after the snapshot
+        # (nothing, for a fresh estimator resuming someone's snapshot).
+        quarantine = self._log[len(log):]
+        self._log = list(log)
         self.leader_velocity_predictor.restore(predictor)
         self._anchor = anchor
         self._last_trusted_time = last_trusted
         if self._anchor is None:
-            self._quarantine = []
             return
         anchor_time = self._anchor[0]
-        for log_time, speed, measurement in self._quarantine:
+        for log_time, speed, measurement in quarantine:
             if log_time <= anchor_time or not self.trained:
                 continue
             span = log_time - (
@@ -224,7 +231,6 @@ class DeadReckoningEstimator(MeasurementEstimator):
                 )
                 self._anchor = (measurement.time, measurement.distance)
                 self._last_trusted_time = measurement.time
-        self._quarantine = []
 
     def _replay_gate(self, span: float) -> float:
         """Acceptance gate for quarantined-measurement validation, m.

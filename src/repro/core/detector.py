@@ -76,6 +76,19 @@ class CRADetector:
         self._events = []
         self._detection_times = []
 
+    def snapshot(self) -> object:
+        """Alarm state plus copies of the verdict history."""
+        return (
+            self._attack_active, list(self._events), list(self._detection_times)
+        )
+
+    def restore(self, snapshot: object) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        active, events, detection_times = snapshot  # type: ignore[misc]
+        self._attack_active = active
+        self._events = list(events)
+        self._detection_times = list(detection_times)
+
     def process(self, measurement: RadarMeasurement) -> Optional[DetectionEvent]:
         """Examine one measurement; returns a verdict at challenge instants.
 

@@ -126,6 +126,37 @@ class SafeMeasurementPipeline:
         """Current alarm state."""
         return self.detector.attack_active
 
+    def snapshot(self) -> object:
+        """The whole pipeline state: detector, estimator and histories.
+
+        The estimator snapshot follows the rollback contract (see
+        :class:`~repro.core.predictor.MeasurementEstimator`), so the
+        authenticated snapshot it holds is shared, not copied.
+        """
+        return (
+            self.detector.snapshot(),
+            self.estimator.snapshot(),
+            list(self._outputs),
+            list(self._raw),
+            self._last_trusted,
+            self._authenticated_state,
+        )
+
+    def restore(self, snapshot: object) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        (
+            detector,
+            estimator,
+            outputs,
+            raw,
+            self._last_trusted,
+            self._authenticated_state,
+        ) = snapshot  # type: ignore[misc]
+        self.detector.restore(detector)
+        self.estimator.restore(estimator)
+        self._outputs = list(outputs)
+        self._raw = list(raw)
+
     # ------------------------------------------------------------------
 
     def _estimate(

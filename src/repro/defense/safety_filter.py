@@ -38,7 +38,7 @@ to the sensor every step and the filter is exactly transparent.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -108,6 +108,28 @@ class SafetyFilter:
         self.rejected_jumps = 0
         #: The admissible bound computed at the last step (None = never).
         self.last_bound: Optional[float] = None
+
+    def snapshot(self) -> Tuple:
+        """The certified track and the step counters, for :meth:`restore`."""
+        return (
+            self._certified_gap,
+            self._certified_leader_speed,
+            self.interventions,
+            self.steps,
+            self.rejected_jumps,
+            self.last_bound,
+        )
+
+    def restore(self, snapshot: Tuple) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        (
+            self._certified_gap,
+            self._certified_leader_speed,
+            self.interventions,
+            self.steps,
+            self.rejected_jumps,
+            self.last_bound,
+        ) = snapshot
 
     # ------------------------------------------------------------------
 

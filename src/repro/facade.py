@@ -70,8 +70,11 @@ _MODES = ("single", "figure", "monte_carlo", "platoon", "sweep")
 
 #: ``(tag, attack_enabled, defended)`` of the runs a figure overlays.
 #: They share the scenario's sensor seed so noise aligns across the
-#: overlay; their toggles differ, so ``"auto"`` keeps them scalar while
-#: ``"vectorized"`` runs each as its own group.
+#: overlay.  The baseline and attacked runs are identical until the
+#: attack starts, so the scalar engine runs that prefix once and
+#: branches the attacked run from it; the defended run shares no prefix
+#: with them.  Their toggles differ, so ``"auto"`` keeps them scalar
+#: while ``"vectorized"`` runs each as its own group.
 _FIGURE_TRIPLE = (
     ("baseline", False, False),
     ("attacked", True, False),

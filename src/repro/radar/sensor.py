@@ -201,6 +201,14 @@ class FMCWRadarSensor:
             time, true_distance, true_relative_velocity, transmit, effect
         )
 
+    def snapshot(self) -> object:
+        """The noise generator's state (the sensor's only per-run state)."""
+        return self.rng.bit_generator.state
+
+    def restore(self, snapshot: object) -> None:
+        """Resume the noise stream from a :meth:`snapshot`."""
+        self.rng.bit_generator.state = snapshot
+
     def target_in_envelope(self, distance: float) -> bool:
         """True when a target at ``distance`` is inside the operating range."""
         return self.params.min_range <= distance <= self.params.max_range

@@ -86,6 +86,18 @@ class AlphaBetaTracker:
         self._misses = 0
         self._confirmed = False
 
+    def snapshot(self) -> object:
+        """The track's mutable state, for :meth:`restore`."""
+        return (
+            self._distance, self._rate, self._hits, self._misses, self._confirmed
+        )
+
+    def restore(self, snapshot: object) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        (
+            self._distance, self._rate, self._hits, self._misses, self._confirmed
+        ) = snapshot  # type: ignore[misc]
+
     # ------------------------------------------------------------------
 
     @property

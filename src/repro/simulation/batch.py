@@ -23,6 +23,19 @@ depend on which worker executes it or in what order — ``workers=4``
 output is bit-identical to ``workers=1``.  :func:`derive_seeds` offers
 a deterministic way to expand one base seed into per-run seeds.
 
+Determinism also lets runs share work.  Specs whose scenarios differ
+only in the attack (and the name) and that share the ``defended``
+toggle are bit-identical until the earliest attack of the group
+starts — a figure's baseline and attacked runs, or the defended runs
+of fig2a and fig2b.  The scalar engine runs such a prefix once: the
+first spec of the group runs whole and snapshots the engine state at
+the branch point, and the others resume from the snapshot (see
+:class:`~repro.simulation.engine.RunSnapshot`).  Groups form only
+among the specs one process runs one after another — the whole miss
+list when serial, one chunk on the pool path — so a run spread over
+the pool never waits for a prefix another worker computes.  Every result, and what the store
+keeps of it, is the same as the spec run alone.
+
 ``workers=1`` (the default) executes serially in-process with zero
 overhead.  If the platform cannot spawn or sustain a process pool
 (restricted sandboxes, missing ``/dev/shm``, unpicklable payloads,
@@ -63,6 +76,7 @@ scalar path, recording the choice per run in
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import pickle
@@ -76,8 +90,9 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry as _telemetry
+from repro.attacks import Attack, AttackSchedule, NoAttack
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.simulation.engine import CarFollowingSimulation
+from repro.simulation.engine import CarFollowingSimulation, RunSnapshot
 from repro.simulation.knobs import resolve_backend, validate_workers
 from repro.simulation.results import ResultSummary, SimulationResult
 from repro.simulation.platoon import PlatoonScenario, PlatoonSimulation
@@ -167,6 +182,9 @@ class RunRecord:
     index: int
     tag: str
     payload: Any
+    #: Seconds the run took.  A run that branched from another run's
+    #: pre-attack prefix counts only its own suffix; the run that
+    #: computed the prefix (the trunk) counts the prefix too.
     elapsed: float
     worker_pid: int
     error: Optional[str] = None
@@ -280,36 +298,49 @@ def _execute_spec(
     item: Tuple[int, RunSpec],
     postprocess: Optional[Postprocess] = None,
     submitted_at: Optional[float] = None,
-) -> RunRecord:
+    *,
+    snapshot_at: Optional[float] = None,
+    resume_from: Optional[RunSnapshot] = None,
+) -> Tuple[RunRecord, Optional[RunSnapshot]]:
     """Run one spec (in a worker or inline) and capture the outcome.
 
     ``submitted_at`` is the parent's ``time.time()`` at batch
     submission; the gap to the run actually starting is recorded as
     ``queue_wait`` (wall clocks are comparable across processes on one
-    host, unlike ``perf_counter``).
+    host, unlike ``perf_counter``).  ``snapshot_at`` and
+    ``resume_from`` go to the engine (see
+    :class:`~repro.simulation.engine.CarFollowingSimulation`); the
+    snapshot the run took, if any, is returned next to its record.
     """
     index, spec = item
     queue_wait = (
         max(0.0, time.time() - submitted_at) if submitted_at is not None else 0.0
     )
     start = time.perf_counter()
+    snapshot = None
     try:
         if isinstance(spec.scenario, PlatoonScenario):
             result: Any = PlatoonSimulation(
                 spec.scenario, attack_enabled=spec.attack_enabled
             ).run()
         else:
-            result = CarFollowingSimulation(
+            simulation = CarFollowingSimulation(
                 spec.scenario,
                 attack_enabled=spec.attack_enabled,
                 defended=spec.defended,
-            ).run()
+                snapshot_at=snapshot_at,
+                resume_from=resume_from,
+            )
+            try:
+                result = simulation.run()
+            finally:
+                snapshot = simulation.branch_snapshot
         payload = result if postprocess is None else postprocess(spec, result)
         error = None
     except Exception as exc:  # captured into the record, re-raised by callers
         payload = None
         error = f"{type(exc).__name__}: {exc}"
-    return RunRecord(
+    record = RunRecord(
         index=index,
         tag=spec.tag,
         payload=payload,
@@ -319,6 +350,85 @@ def _execute_spec(
         queue_wait=queue_wait,
         backend_used="scalar",
     )
+    return record, snapshot
+
+
+def _attack_onset(attack: Any) -> Optional[float]:
+    """The first instant ``attack`` can act; ``None`` when unknown.
+
+    Known: an :class:`~repro.attacks.base.Attack` that keeps the base
+    class's window gating, :class:`~repro.attacks.base.NoAttack` (never,
+    ``inf``) and an :class:`~repro.attacks.scheduler.AttackSchedule` of
+    known attacks.  Anything else may act at any time.
+    """
+    if isinstance(attack, NoAttack):
+        return math.inf
+    if isinstance(attack, AttackSchedule):
+        onsets = [_attack_onset(member) for member in attack.attacks]
+        return None if None in onsets else min(onsets, default=math.inf)
+    if isinstance(attack, Attack) and type(attack).effect_at is Attack.effect_at:
+        return attack.window.start
+    return None
+
+
+def _attack_start(spec: RunSpec) -> Optional[float]:
+    """When the spec's effective attack starts (``inf``: no attack)."""
+    attack = spec.scenario.attack if spec.attack_enabled else None
+    return math.inf if attack is None else _attack_onset(attack)
+
+
+def _prefix_key(spec: RunSpec) -> Optional[Tuple[str, bool]]:
+    """Key of the specs whose runs are bit-identical until an attack.
+
+    Specs share it when their scenarios are equal once ``attack`` and
+    ``name`` are dropped (compared through the declarative spec dict,
+    as fingerprints are) and their ``defended`` toggles match; their
+    effective attacks may differ.  ``None`` for a spec that runs whole:
+    a platoon, an attack with no known start, or a scenario with no
+    spec form.
+    """
+    scenario = spec.scenario
+    if not isinstance(scenario, Scenario) or _attack_start(spec) is None:
+        return None
+    from repro.simulation.spec import scenario_to_dict
+    from repro.store.fingerprint import canonical_json
+
+    try:
+        body = canonical_json(
+            scenario_to_dict(replace(scenario, attack=None, name=""))
+        )
+    except (ConfigurationError, TypeError):
+        return None
+    return body, bool(spec.defended)
+
+
+def _run_group(
+    members: Sequence[Tuple[int, RunSpec]],
+    postprocess: Optional[Postprocess],
+    submitted_at: Optional[float],
+) -> List[RunRecord]:
+    """Run specs that share a prefix key: the prefix once, then branch.
+
+    The first member (the trunk) runs whole and snapshots its state
+    before the earliest attack start of the group; every other member
+    resumes from that snapshot.  A group whose earliest attack starts
+    at the first step has no prefix, and a trunk that failed before the
+    snapshot leaves the others to run whole.
+    """
+    branch_at = min(_attack_start(spec) for _, spec in members)
+    if len(members) == 1 or branch_at <= 0.0:
+        return [_execute_spec(item, postprocess, submitted_at)[0] for item in members]
+    trunk, snapshot = _execute_spec(
+        members[0], postprocess, submitted_at, snapshot_at=branch_at
+    )
+    records = [trunk]
+    for item in members[1:]:
+        records.append(
+            _execute_spec(item, postprocess, submitted_at, resume_from=snapshot)[0]
+        )
+        if snapshot is not None:
+            _telemetry.incr("batch.branched_runs")
+    return records
 
 
 def _default_chunksize(n_specs: int, workers: int) -> int:
@@ -332,10 +442,22 @@ def _run_serial(
     postprocess: Optional[Postprocess],
     submitted_at: Optional[float] = None,
 ) -> List[RunRecord]:
-    return [
-        _execute_spec(item, postprocess, submitted_at=submitted_at)
-        for item in items
-    ]
+    """Run ``items`` in this process; records come back in item order.
+
+    Specs with one :func:`_prefix_key` form a group that runs its
+    shared pre-attack prefix once (:func:`_run_group`); groups run in
+    the order of their first member.
+    """
+    groups: dict = {}
+    for item in items:
+        key = _prefix_key(item[1]) if len(items) > 1 else None
+        groups.setdefault((None, item[0]) if key is None else key, []).append(item)
+    records = {
+        record.index: record
+        for members in groups.values()
+        for record in _run_group(members, postprocess, submitted_at)
+    }
+    return [records[index] for index, _ in items]
 
 
 #: Pool-infrastructure failures that justify re-running the batch
@@ -397,6 +519,14 @@ def execute_batch(
         non-qualifying specs on the scalar engine.  Results are
         bit-identical across backends; each record's
         :attr:`RunRecord.backend_used` says which engine ran it.
+
+    On the scalar engine, specs that differ only in their attack share
+    their pre-attack prefix: it runs once and the other runs branch
+    from an engine snapshot (see the module docstring).  This happens
+    after store hits are served and after ``"auto"`` has taken its
+    vector groups, only among the misses one process runs serially,
+    and changes no result; telemetry counts ``batch.branched_runs``
+    and ``engine.shared_steps``.
 
     Errors inside a run are captured per-record (``RunRecord.error``);
     call :meth:`BatchResult.raise_on_error` to surface them.  If the
@@ -550,17 +680,18 @@ def _compute_batch(
         import functools
         from concurrent.futures import ProcessPoolExecutor
 
+        # One task per chunk, which the worker runs serially.  Specs
+        # branch only within a chunk, so no chunk waits for a prefix
+        # another chunk computes.
+        size = chunksize or _default_chunksize(len(items), effective)
+        chunks = [items[i:i + size] for i in range(0, len(items), size)]
         call = functools.partial(
-            _execute_spec, postprocess=postprocess, submitted_at=submitted_at
+            _run_serial, postprocess=postprocess, submitted_at=submitted_at
         )
         with ProcessPoolExecutor(max_workers=effective) as pool:
-            records = list(
-                pool.map(
-                    call,
-                    items,
-                    chunksize=chunksize or _default_chunksize(len(items), effective),
-                )
-            )
+            records = [
+                record for chunk in pool.map(call, chunks) for record in chunk
+            ]
         parallel = True
     except _POOL_INFRA_ERRORS as exc:
         # Pool unavailable or broken (sandboxed /dev/shm, fork limits,

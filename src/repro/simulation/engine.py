@@ -19,14 +19,25 @@ gap so that full-horizon traces remain comparable across runs (the
 paper's plots likewise continue past the unsafe approach; see
 DESIGN.md §7).
 
+Runs that differ only in their attack are identical until the first
+attack starts.  A run configured with ``snapshot_at`` keeps a
+:class:`RunSnapshot` of its whole state as it reaches that time (and
+carries on); a run configured with ``resume_from`` restores such a
+snapshot and simulates only the remaining steps, under its own name and
+attack label.  Every stateful part follows one ``snapshot()`` /
+``restore()`` protocol, the one the estimators use for rollback.
+
 With an active :mod:`repro.telemetry` session the loop accumulates
 per-stage wall-clock (``engine.sense`` / ``engine.estimate`` /
-``engine.control``, one span per stage per run); with telemetry off
-the instrumentation reduces to local ``None`` checks.
+``engine.control``, one span per stage per run, covering only the
+steps the run simulated itself); with telemetry off the
+instrumentation reduces to local ``None`` checks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional, Tuple
 
@@ -55,11 +66,15 @@ from repro.vehicle.kinematics import advance_state
 from repro.vehicle.state import VehicleState
 from repro.vehicle.upper_controller import ControlMode
 
-__all__ = ["CarFollowingSimulation", "build_defense_pipeline"]
+__all__ = ["CarFollowingSimulation", "RunSnapshot", "build_defense_pipeline"]
 
 #: Floor applied to the radar-visible gap after a collision so that the
 #: sensing chain stays defined for the remainder of the run.
 _POST_COLLISION_GAP_FLOOR = 0.5
+
+#: The run's parts that exist only under some toggles, by attribute name
+#: (shared by the simulation and :class:`RunSnapshot`).
+_OPTIONAL_PARTS = ("tracker", "challenge_policy", "pipeline", "safety_filter")
 
 
 def build_defense_pipeline(
@@ -116,6 +131,28 @@ def build_defense_pipeline(
     )
 
 
+@dataclass(frozen=True)
+class RunSnapshot:
+    """A run's whole state just before step ``step``.
+
+    Each field other than ``step`` and the (immutable) vehicle states is
+    what that part's ``snapshot()`` returned, or ``None`` where the run
+    has no such part.  Restoring copies out of it, so one snapshot can
+    seed any number of runs.
+    """
+
+    step: int
+    leader: VehicleState
+    follower: VehicleState
+    result: object
+    sensor: object
+    controller: object
+    tracker: object = None
+    challenge_policy: object = None
+    pipeline: object = None
+    safety_filter: object = None
+
+
 class CarFollowingSimulation:
     """One configured closed-loop run.
 
@@ -131,6 +168,15 @@ class CarFollowingSimulation:
         through a coasting tracker (hold-last on zero outputs).
     name:
         Label for the result; derived from the configuration if omitted.
+    snapshot_at:
+        When set, :meth:`run` stores a :class:`RunSnapshot` in
+        :attr:`branch_snapshot` just before its first step at or after
+        this time (after the last step if there is none) and carries on.
+    resume_from:
+        A snapshot taken by a run of the same scenario and toggles up to
+        the attack: :meth:`run` restores it and simulates only the steps
+        after it.  The caller vouches that no attack acted before the
+        snapshot's step in either run.
     """
 
     def __init__(
@@ -139,8 +185,15 @@ class CarFollowingSimulation:
         attack_enabled: bool = True,
         defended: bool = True,
         name: Optional[str] = None,
+        *,
+        snapshot_at: Optional[float] = None,
+        resume_from: Optional[RunSnapshot] = None,
     ):
         self.scenario = scenario
+        self.snapshot_at = snapshot_at
+        self.resume_from = resume_from
+        #: The state :meth:`run` captured at ``snapshot_at`` (else None).
+        self.branch_snapshot: Optional[RunSnapshot] = None
         self.attack: Optional[Attack] = scenario.attack if attack_enabled else None
         self.defended = defended
         # Adaptive challenge policy (optional): modulator and detector
@@ -236,8 +289,41 @@ class CarFollowingSimulation:
 
         return accel_filter
 
+    def _snapshot(
+        self, step: int, leader, follower, result, sensor, acc
+    ) -> RunSnapshot:
+        """Capture every stateful part of the run before ``step``."""
+        return RunSnapshot(
+            step=step,
+            leader=leader,
+            follower=follower,
+            result=result.snapshot(),
+            sensor=sensor.snapshot(),
+            controller=acc.snapshot(),
+            **{
+                part: getattr(self, part).snapshot()
+                for part in _OPTIONAL_PARTS
+                if getattr(self, part) is not None
+            },
+        )
+
+    def _restore(self, snapshot: RunSnapshot, result, sensor, acc) -> None:
+        """Load ``snapshot`` into this run's freshly built parts."""
+        result.restore(snapshot.result)
+        sensor.restore(snapshot.sensor)
+        acc.restore(snapshot.controller)
+        for name in _OPTIONAL_PARTS:
+            part, state = getattr(self, name), getattr(snapshot, name)
+            if (part is None) != (state is None):
+                raise ValueError(
+                    f"snapshot does not fit run {self.name!r}: it was taken "
+                    f"with other defense toggles"
+                )
+            if part is not None:
+                part.restore(state)
+
     def run(self) -> SimulationResult:
-        """Execute the full run and return its traces."""
+        """Execute the run and return its traces."""
         scenario = self.scenario
         schedule: ChallengeSchedule = scenario.schedule()
         sensor = FMCWRadarSensor(
@@ -263,13 +349,31 @@ class CarFollowingSimulation:
             attack_name=self.attack.label.value if self.attack else "none",
             defended=self.defended,
         )
+        times = scenario.times()
+        first = 0
+        if self.resume_from is not None:
+            first = self.resume_from.step
+            leader = self.resume_from.leader
+            follower = self.resume_from.follower
+            self._restore(self.resume_from, result, sensor, acc)
+        # The step the snapshot is taken before (none past the end).
+        branch = (
+            len(times) + 1
+            if self.snapshot_at is None
+            else bisect_left(times, self.snapshot_at)
+        )
         # Per-stage timing is gated on an active telemetry session: when
         # `tele` is None the loop pays one local None-check per stage
         # and nothing else (bench_telemetry_overhead asserts the bound).
         tele = _telemetry.current()
         sense_s = estimate_s = control_s = 0.0
         n_steps = 0
-        for time in scenario.times():
+        for step in range(first, len(times)):
+            if step == branch:
+                self.branch_snapshot = self._snapshot(
+                    step, leader, follower, result, sensor, acc
+                )
+            time = times[step]
             if tele is not None:
                 n_steps += 1
                 t0 = perf_counter()
@@ -348,6 +452,10 @@ class CarFollowingSimulation:
             )
             if tele is not None:
                 control_s += perf_counter() - t2
+        if branch == len(times):
+            self.branch_snapshot = self._snapshot(
+                branch, leader, follower, result, sensor, acc
+            )
 
         if tele is not None:
             # One span per stage per run: the radar + attack resolution
@@ -360,6 +468,8 @@ class CarFollowingSimulation:
             tele.emit("engine.control", control_s, attrs=dict(attrs))
             tele.incr("engine.runs")
             tele.incr("engine.steps", n_steps)
+            if first:
+                tele.incr("engine.shared_steps", first)
 
         if self.pipeline is not None:
             result.detection_events = self.pipeline.detection_events

@@ -99,6 +99,26 @@ class SimulationResult:
                 raise KeyError(f"unknown trace {trace_name!r}")
             self.traces[trace_name].append(time, float(value))
 
+    def snapshot(self) -> object:
+        """The recorded traces (list slices) and the collision time.
+
+        The labels (``name``, ``attack_name``, ``defended``) and the
+        end-of-run fields are not part of it: a run resuming from the
+        snapshot records into its own result.
+        """
+        return self.collision_time, {
+            name: (series.times[:], series.values[:])
+            for name, series in self.traces.items()
+        }
+
+    def restore(self, snapshot: object) -> None:
+        """Return the traces to a state captured by :meth:`snapshot`."""
+        self.collision_time, traces = snapshot  # type: ignore[misc]
+        for name, (times, values) in traces.items():
+            series = self.traces[name]
+            series.times = times[:]
+            series.values = values[:]
+
     def series(self, name: str) -> TimeSeries:
         """Access one trace by name."""
         return self.traces[name]

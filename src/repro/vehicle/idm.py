@@ -207,3 +207,11 @@ class IDMFollowerController:
     def reset(self, acceleration: float = 0.0) -> None:
         """Reset the plant acceleration state."""
         self.lower.reset(acceleration)
+
+    def snapshot(self) -> object:
+        """The controller's per-run state: the plant acceleration."""
+        return self.lower.snapshot()
+
+    def restore(self, snapshot: object) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        self.lower.restore(snapshot)

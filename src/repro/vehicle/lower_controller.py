@@ -87,3 +87,11 @@ class LowerLevelController:
     def reset(self, acceleration: float = 0.0) -> None:
         """Reset the tracked acceleration state."""
         self.dynamics.reset(acceleration)
+
+    def snapshot(self) -> object:
+        """The plant's acceleration state, kept exactly (no ``float()``)."""
+        return self.dynamics._acceleration
+
+    def restore(self, snapshot: object) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        self.dynamics._acceleration = snapshot
