@@ -14,7 +14,8 @@ Asserted contracts:
   and the raw payload blobs are byte-identical shard-to-shard
   (whoever computes a run stores it, so the 4-worker store was
   written *by the pool workers* — which the ``store.worker_writes``
-  counter confirms whenever a scalar pool actually runs);
+  counter confirms whenever the pool actually runs, on every backend:
+  vector groups run on the pool too);
 * **scaling** — on a machine with >= 4 usable cores the 4-worker
   sweep completes >= 3x faster (on smaller containers the timings are
   emitted but the floor is not asserted — nothing to parallelize onto);
@@ -68,6 +69,7 @@ def _pool_available() -> bool:
     probe = execute_batch(
         [RunSpec(fig2_scenario("dos", horizon=10.0)) for _ in range(2)],
         workers=2,
+        backend="scalar",
     )
     return probe.parallel
 
@@ -198,9 +200,9 @@ def bench_sweep_scaling(benchmark, tmp_path_factory):
     )
 
     # The serial sweep wrote from the parent; the pooled one from the
-    # workers (a vectorized backend writes its groups parent-side).
+    # workers, whichever engine ran each run.
     assert measured["counters_w1"].get("store.worker_writes", 0) == 0
-    if _pool_available() and resolve_backend(None) == "scalar":
+    if _pool_available():
         assert measured[f"counters_w{WORKERS}"]["store.worker_writes"] == total_runs
 
     # Replay answered everything from the cache, from the stored
@@ -233,6 +235,7 @@ def bench_sweep_scaling(benchmark, tmp_path_factory):
 
     record = {
         "host": host_header("bench_sweep_scaling", smoke=False),
+        "backend": resolve_backend(None),
         "workload": (
             f"{total_runs}-run fixed sweep ({len(cells)} cells x "
             f"{RUNS_PER_CELL} seeds) through a {SHARDS}-shard store, "

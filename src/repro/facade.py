@@ -34,9 +34,9 @@ Parallelism
 Every mode hands its runs, with ``workers`` / ``cache`` / ``backend``
 untouched, to :func:`~repro.simulation.batch.execute_batch`, the one
 place that validates those knobs, binds the run store and picks the
-engine.  ``workers`` fans independent runs out over a process pool;
-the batch clamps it to its run count, so a single run stays
-in-process.  Results are bit-identical to ``workers=1``.
+engine.  ``workers`` fans independent runs out over a process pool,
+whichever the engine (a vector group is one pool task); the batch
+clamps it to its task count, so a single run stays in-process.  Results are bit-identical to ``workers=1``.
 
 Backends
 --------

@@ -61,8 +61,10 @@ its trace payload.  Cached and
 uncached batches share one dispatch (with cache off the lookup simply
 finds no hits).  In ``readwrite`` mode whoever computes a run stores
 it: a pool worker writes its own results, whatever the store's file
-count, so only reduced payloads cross the process boundary; serial
-runs and vectorized groups are written by the calling process.
+count and whichever engine ran them, so only reduced payloads cross
+the process boundary; telemetry counts those writes as
+``store.worker_writes``.  Serial runs are written by the calling
+process.
 
 The ``backend=`` knob selects the engine (see
 :mod:`repro.simulation.knobs`): ``"scalar"`` is the per-run engine
@@ -71,7 +73,11 @@ in lock-step through :mod:`repro.simulation.vectorized` (bit-identical
 results, one numpy pass per step instead of N python step loops);
 ``"auto"`` vectorizes the groups that qualify and runs the rest on the
 scalar path, recording the choice per run in
-:attr:`RunRecord.backend_used`.
+:attr:`RunRecord.backend_used`.  ``workers`` means the same on every
+backend: a vector group is one pool task, like a chunk of scalar runs.
+Pool workers have no telemetry session, so the ``vector.*`` counters
+of pooled groups, like the ``engine.*`` counters of pooled scalar runs,
+are not counted.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ import time
 import warnings
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -484,12 +490,14 @@ def execute_batch(
     specs:
         The runs; results come back in the same order.
     workers:
-        Process count for the scalar engine.  ``1`` (default) runs
-        serially in-process; more than ``len(specs)`` is clamped.
-        Vectorized groups always execute in the calling process.
+        Process count for both engines.  ``1`` (default) runs serially
+        in-process; more than the number of vector groups plus scalar
+        runs is clamped.  One pool runs the batch: each vector group is
+        one task (largest first), followed by chunks of scalar runs.
     chunksize:
-        Specs handed to a worker per dispatch; defaults to
-        ``len(specs) // (workers * 4)`` (at least 1).
+        Scalar specs handed to a worker per dispatch; defaults to
+        ``n // (workers * 4)`` (at least 1) for ``n`` scalar specs.
+        A vector group is always one dispatch.
     postprocess:
         Optional reducer ``(spec, result) -> payload`` applied worker-
         side — use a module-level function so it pickles; lets sweeps
@@ -503,8 +511,9 @@ def execute_batch(
         ``"off"`` (default) bypasses the store entirely;
         ``"readonly"`` serves fingerprint hits from the store;
         ``"readwrite"`` additionally stores computed misses, each
-        written by whoever computed it (the pool worker, or the
-        calling process for serial runs and vectorized groups).  A
+        written by whoever computed it: the pool worker (counted as
+        ``store.worker_writes``) for pooled scalar runs and vector
+        groups alike, or the calling process for a serial batch.  A
         :class:`~repro.store.RunStore` or
         :class:`~repro.store.CacheBinding` selects an explicit store.
         Results are bit-identical in every mode; only wall-clock
@@ -516,7 +525,8 @@ def execute_batch(
         ``"vectorized"`` requires every spec to be vectorizable and
         raises :class:`~repro.exceptions.ConfigurationError` naming
         the blocking feature otherwise; ``"auto"`` silently runs
-        non-qualifying specs on the scalar engine.  Results are
+        non-qualifying specs, and groups of fewer than three, on the
+        scalar engine.  Results are
         bit-identical across backends; each record's
         :attr:`RunRecord.backend_used` says which engine ran it.
 
@@ -645,6 +655,70 @@ def _emit_batch_telemetry(tele: "_telemetry.Telemetry", result: BatchResult) -> 
         tele.incr("batch.degraded")
 
 
+#: Smallest group ``backend="auto"`` runs on the vectorized engine:
+#: the measured break-even against the scalar engine (a vectorized pair
+#: is slower than two scalar runs, a triple about as fast as three).
+_AUTO_MIN_GROUP = 3
+
+
+def _partition(
+    items: Sequence[Tuple[int, RunSpec]], backend: str
+) -> Tuple[List[List[Tuple[int, RunSpec]]], List[Tuple[int, RunSpec]]]:
+    """Split ``items`` into vector groups (largest first) and scalar items.
+
+    Under ``"vectorized"`` or ``"auto"``, specs are partitioned into
+    homogeneous vector groups (same scenario up to
+    ``sensor_seed``/``name``, same toggles — see
+    :func:`repro.simulation.vectorized.group_key`) and a scalar
+    remainder.  Strict ``"vectorized"`` refuses any remainder up front,
+    naming the blocking feature; ``"auto"`` also leaves groups smaller
+    than :data:`_AUTO_MIN_GROUP` on the scalar engine.
+    """
+    if backend == "scalar":
+        return [], list(items)
+    from repro.simulation.vectorized import group_key, vectorization_blocker
+
+    groups: dict = {}
+    scalar_items: List[Tuple[int, RunSpec]] = []
+    for index, spec in items:
+        blocker = vectorization_blocker(spec)
+        if blocker is not None:
+            if backend == "vectorized":
+                tag = f" (tag {spec.tag!r})" if spec.tag else ""
+                raise ConfigurationError(
+                    f"backend='vectorized' cannot execute spec {index}{tag}: "
+                    f"{blocker}; use backend='auto' to fall back to the "
+                    f"scalar engine"
+                )
+            scalar_items.append((index, spec))
+            continue
+        groups.setdefault(group_key(spec), []).append((index, spec))
+    vector_groups = []
+    for members in groups.values():
+        if backend == "auto" and len(members) < _AUTO_MIN_GROUP:
+            scalar_items.extend(members)
+        else:
+            vector_groups.append(members)
+    vector_groups.sort(key=len, reverse=True)
+    return vector_groups, sorted(scalar_items)
+
+
+def _run_task(
+    task: Tuple[bool, Sequence[Tuple[int, RunSpec]]],
+    postprocess: Optional[Postprocess],
+    submitted_at: Optional[float],
+) -> Tuple[List[RunRecord], Optional[str]]:
+    """Run one pool task: a vector group, or scalar specs run serially.
+
+    Returns the records and, when the vectorized engine failed on the
+    group, the warning the calling process raises again.
+    """
+    vectorized, members = task
+    if vectorized:
+        return _run_vector_group(members, postprocess, submitted_at)
+    return _run_serial(members, postprocess, submitted_at), None
+
+
 def _compute_batch(
     specs: Sequence[RunSpec],
     *,
@@ -653,65 +727,65 @@ def _compute_batch(
     postprocess: Optional[Postprocess],
     backend: str = "scalar",
 ) -> BatchResult:
-    """Run every spec on the selected engine (no store lookups)."""
-    if backend != "scalar":
-        return _execute_batch_vector(
-            specs,
-            workers=workers,
-            chunksize=chunksize,
-            postprocess=postprocess,
-            backend=backend,
-        )
-    items = list(enumerate(specs))
+    """Run every spec on the selected engine (no store lookups).
+
+    The batch is one task list: each vector group (:func:`_partition`),
+    largest first, then the scalar specs.  With ``workers > 1`` and at
+    least two groups or specs, one process pool maps over it, the scalar
+    specs cut into chunks; otherwise every task runs in this process,
+    the scalar specs as one serial list.
+    """
     start = time.perf_counter()
     submitted_at = time.time()
-    effective = min(workers, len(items))
-    if effective <= 1:
-        records = _run_serial(items, postprocess, submitted_at=submitted_at)
-        return BatchResult(
-            records=tuple(records),
-            workers=1,
-            parallel=False,
-            elapsed=time.perf_counter() - start,
-        )
-
+    items = list(enumerate(specs))
+    groups, scalar_items = _partition(items, backend)
+    effective = min(workers, len(groups) + len(scalar_items))
+    call = partial(_run_task, postprocess=postprocess, submitted_at=submitted_at)
+    outcomes = None
     degraded_reason: Optional[str] = None
-    try:
-        import functools
-        from concurrent.futures import ProcessPoolExecutor
+    if effective > 1:
+        # Specs branch from a shared prefix only within one chunk, so no
+        # chunk waits for a prefix another chunk computes.
+        size = chunksize or _default_chunksize(len(scalar_items), effective)
+        tasks = [(True, members) for members in groups] + [
+            (False, scalar_items[i:i + size])
+            for i in range(0, len(scalar_items), size)
+        ]
+        try:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # One task per chunk, which the worker runs serially.  Specs
-        # branch only within a chunk, so no chunk waits for a prefix
-        # another chunk computes.
-        size = chunksize or _default_chunksize(len(items), effective)
-        chunks = [items[i:i + size] for i in range(0, len(items), size)]
-        call = functools.partial(
-            _run_serial, postprocess=postprocess, submitted_at=submitted_at
-        )
-        with ProcessPoolExecutor(max_workers=effective) as pool:
-            records = [
-                record for chunk in pool.map(call, chunks) for record in chunk
-            ]
-        parallel = True
-    except _POOL_INFRA_ERRORS as exc:
-        # Pool unavailable or broken (sandboxed /dev/shm, fork limits,
-        # unpicklable payloads, ...): degrade to the serial path, which
-        # by construction produces identical results — but say so, and
-        # record why.  Anything outside _POOL_INFRA_ERRORS is a real
-        # bug and propagates rather than silently discarding the pool's
-        # completed work.
-        degraded_reason = f"{type(exc).__name__}: {exc}"
-        warnings.warn(
-            f"process pool unavailable or broken ({degraded_reason}); "
-            f"re-running the {len(items)}-spec batch serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        records = _run_serial(items, postprocess, submitted_at=submitted_at)
+            with ProcessPoolExecutor(max_workers=effective) as pool:
+                outcomes = list(pool.map(call, tasks))
+        except _POOL_INFRA_ERRORS as exc:
+            # Pool unavailable or broken (sandboxed /dev/shm, fork
+            # limits, unpicklable payloads, ...): degrade to the serial
+            # path, which by construction produces identical results —
+            # but say so, and record why.  Anything outside
+            # _POOL_INFRA_ERRORS is a real bug and propagates rather
+            # than silently discarding the pool's completed work.
+            degraded_reason = f"{type(exc).__name__}: {exc}"
+            warnings.warn(
+                f"process pool unavailable or broken ({degraded_reason}); "
+                f"re-running the {len(items)}-spec batch serially",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    parallel = outcomes is not None
+    if not parallel:
         effective = 1
-        parallel = False
+        tasks = [(True, members) for members in groups]
+        if scalar_items:
+            tasks.append((False, scalar_items))
+        outcomes = [call(task) for task in tasks]
+
+    records: dict = {}
+    for task_records, failure in outcomes:
+        if failure is not None:
+            warnings.warn(failure, RuntimeWarning, stacklevel=3)
+        for record in task_records:
+            records[record.index] = record
     return BatchResult(
-        records=tuple(records),
+        records=tuple(records[index] for index, _ in items),
         workers=effective,
         parallel=parallel,
         elapsed=time.perf_counter() - start,
@@ -722,31 +796,34 @@ def _compute_batch(
 def _run_vector_group(
     members: Sequence[Tuple[int, RunSpec]],
     postprocess: Optional[Postprocess],
-) -> Optional[List[RunRecord]]:
+    submitted_at: Optional[float],
+) -> Tuple[List[RunRecord], Optional[str]]:
     """Execute one homogeneous group on the vectorized engine.
 
-    Returns the group's records (submission indices preserved), or
-    ``None`` — after a ``RuntimeWarning`` — when the engine raised, so
-    the caller re-runs the group on the scalar engine.  A vectorized
-    group cannot attribute a mid-loop exception to a single run, while
-    the scalar re-run captures errors per-record as usual (and, by the
-    equivalence contract, produces the same payloads for the runs that
-    succeed).
+    Runs wherever its task runs: in a pool worker or in the calling
+    process.  Returns the group's records (submission indices
+    preserved) and ``None``, or — when the engine raised — the records
+    of a scalar re-run of the group and the warning to raise in the
+    calling process.  A vectorized group cannot attribute a mid-loop
+    exception to a single run, while the scalar re-run captures errors
+    per-record as usual (and, by the equivalence contract, produces the
+    same payloads for the runs that succeed).
     """
     from repro.simulation.vectorized import run_group_vectorized
 
+    queue_wait = (
+        max(0.0, time.time() - submitted_at) if submitted_at is not None else 0.0
+    )
     start = time.perf_counter()
     try:
         results = run_group_vectorized([spec for _, spec in members])
     except Exception as exc:
-        warnings.warn(
+        failure = (
             f"vectorized group of {len(members)} runs failed "
             f"({type(exc).__name__}: {exc}); re-running the group on the "
-            f"scalar engine",
-            RuntimeWarning,
-            stacklevel=5,
+            f"scalar engine"
         )
-        return None
+        return _run_serial(members, postprocess, submitted_at), failure
     # One lock-step loop produced the whole group; attribute the group's
     # wall-clock evenly (per-run stage timing has no meaning here).
     per_run = (time.perf_counter() - start) / len(members)
@@ -764,86 +841,11 @@ def _run_vector_group(
                 elapsed=per_run,
                 worker_pid=os.getpid(),
                 error=error,
+                queue_wait=queue_wait,
                 backend_used="vectorized",
             )
         )
-    return records
-
-
-def _execute_batch_vector(
-    specs: Sequence[RunSpec],
-    *,
-    workers: int,
-    chunksize: Optional[int],
-    postprocess: Optional[Postprocess],
-    backend: str,
-) -> BatchResult:
-    """Dispatch a batch under ``backend='vectorized'`` or ``'auto'``.
-
-    Specs are partitioned into homogeneous vector groups (same scenario
-    up to ``sensor_seed``/``name``, same toggles — see
-    :func:`repro.simulation.vectorized.group_key`) and a scalar
-    remainder.  Strict ``"vectorized"`` refuses any remainder up front,
-    naming the blocking feature; ``"auto"`` additionally leaves
-    singleton groups on the scalar engine (no lock-step win for one
-    run) and re-runs a group on the scalar engine if the vectorized
-    engine raises.  The scalar remainder goes through the ordinary
-    pool/serial machinery, so ``workers`` keeps its meaning there.
-    """
-    from repro.simulation.vectorized import group_key, vectorization_blocker
-
-    start = time.perf_counter()
-    items = list(enumerate(specs))
-    groups: dict = {}
-    scalar_items: List[Tuple[int, RunSpec]] = []
-    for index, spec in items:
-        blocker = vectorization_blocker(spec)
-        if blocker is not None:
-            if backend == "vectorized":
-                tag = f" (tag {spec.tag!r})" if spec.tag else ""
-                raise ConfigurationError(
-                    f"backend='vectorized' cannot execute spec {index}{tag}: "
-                    f"{blocker}; use backend='auto' to fall back to the "
-                    f"scalar engine"
-                )
-            scalar_items.append((index, spec))
-            continue
-        groups.setdefault(group_key(spec), []).append((index, spec))
-    if backend == "auto":
-        # A singleton gains nothing from lock-step; keep it scalar.
-        for key in [k for k, members in groups.items() if len(members) < 2]:
-            scalar_items.extend(groups.pop(key))
-
-    records: dict = {}
-    for members in groups.values():
-        group_records = _run_vector_group(members, postprocess)
-        if group_records is None:
-            scalar_items.extend(members)
-        else:
-            for record in group_records:
-                records[record.index] = record
-
-    parallel, degraded_reason, effective = False, None, 1
-    if scalar_items:
-        scalar_items.sort()
-        inner = _compute_batch(
-            [spec for _, spec in scalar_items],
-            workers=workers,
-            chunksize=chunksize,
-            postprocess=postprocess,
-            backend="scalar",
-        )
-        parallel, degraded_reason = inner.parallel, inner.degraded_reason
-        effective = inner.workers
-        for (index, _), record in zip(scalar_items, inner.records):
-            records[index] = replace(record, index=index)
-    return BatchResult(
-        records=tuple(records[index] for index, _ in items),
-        workers=effective,
-        parallel=parallel,
-        elapsed=time.perf_counter() - start,
-        degraded_reason=degraded_reason,
-    )
+    return records, None
 
 
 def _apply_postprocess(
@@ -862,9 +864,9 @@ class _StoreWritingPostprocess:
 
     A readwrite batch wraps its reducer in this on every path, so the
     run is stored where it was computed: inside the pool worker for a
-    pooled scalar run, in the calling process for serial runs and
-    vectorized groups.  The raw result is written first and only the
-    reduced payload leaves a pool worker.
+    pooled scalar run or vector group, in the calling process for a
+    serial batch.  The raw result is written first and only the reduced
+    payload leaves a pool worker.
 
     Picklable as long as the reducer is: the store travels as its path
     plus geometry and reopens its files lazily in the worker (see

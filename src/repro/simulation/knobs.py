@@ -5,7 +5,7 @@ Every execution entrypoint — :func:`repro.run`,
 :func:`repro.simulation.batch.run_many` and the CLI commands built on
 them — accepts the same three knobs with the same semantics:
 
-* ``workers=`` — process count for the scalar engine's fan-out;
+* ``workers=`` — process count for the fan-out, on every backend;
 * ``cache=`` — run-store policy (normalized by
   :func:`repro.store.cache.resolve_cache`);
 * ``backend=`` — which simulation engine executes the runs.
@@ -30,8 +30,9 @@ Backends
     (:mod:`repro.simulation.vectorized`) — every spec must be
     vectorizable or the batch raises up front, naming the blocker.
 ``"auto"``
-    Homogeneous groups of two or more vectorizable specs run on the
-    vectorized engine; everything else degrades to the scalar engine
+    Homogeneous groups of three or more vectorizable specs run on the
+    vectorized engine (a lock-step pair is slower than two scalar
+    runs); everything else degrades to the scalar engine
     (recorded per run in ``RunRecord.backend_used``, never an error).
 
 ``backend=None`` resolves to the :envvar:`REPRO_BACKEND` environment

@@ -262,19 +262,35 @@ class TestAutoBackend:
 
     def test_mixed_batch_splits_by_group(self):
         blocked = RunSpec(FAST.with_overrides(horizon=25.0), tag="lone")
-        pair = [
-            RunSpec(FAST.with_overrides(sensor_seed=s), tag=f"p{s}")
-            for s in range(2)
+        triple = [
+            RunSpec(FAST.with_overrides(sensor_seed=s), tag=f"t{s}")
+            for s in range(3)
         ]
-        batch = execute_batch([pair[0], blocked, pair[1]], backend="auto")
+        batch = execute_batch(
+            [triple[0], blocked, triple[1], triple[2]], backend="auto"
+        )
         batch.raise_on_error()
         assert [r.backend_used for r in batch.records] == [
             "vectorized",
             "scalar",
             "vectorized",
+            "vectorized",
         ]
         # Record order still matches spec order.
-        assert [r.tag for r in batch.records] == ["p0", "lone", "p1"]
+        assert [r.tag for r in batch.records] == ["t0", "lone", "t1", "t2"]
+
+    def test_pair_stays_scalar(self):
+        # Below the measured break-even a vectorized pair is slower than
+        # two scalar runs; strict "vectorized" still runs it lock-step.
+        pair = [
+            RunSpec(FAST.with_overrides(sensor_seed=s), tag=str(s))
+            for s in range(2)
+        ]
+        auto = execute_batch(pair, backend="auto")
+        assert [r.backend_used for r in auto.records] == ["scalar"] * 2
+        strict = execute_batch(pair, backend="vectorized")
+        assert [r.backend_used for r in strict.records] == ["vectorized"] * 2
+        assert _payload_dicts(auto) == _payload_dicts(strict)
 
     def test_blocked_specs_run_scalar_under_auto(self):
         idm = FAST.with_overrides(follower_policy="idm")
