@@ -741,13 +741,14 @@ def _compute_batch(
     groups, scalar_items = _partition(items, backend)
     effective = min(workers, len(groups) + len(scalar_items))
     call = partial(_run_task, postprocess=postprocess, submitted_at=submitted_at)
+    vector_tasks = [(True, members) for members in groups]
     outcomes = None
     degraded_reason: Optional[str] = None
     if effective > 1:
         # Specs branch from a shared prefix only within one chunk, so no
         # chunk waits for a prefix another chunk computes.
         size = chunksize or _default_chunksize(len(scalar_items), effective)
-        tasks = [(True, members) for members in groups] + [
+        tasks = vector_tasks + [
             (False, scalar_items[i:i + size])
             for i in range(0, len(scalar_items), size)
         ]
@@ -773,9 +774,7 @@ def _compute_batch(
     parallel = outcomes is not None
     if not parallel:
         effective = 1
-        tasks = [(True, members) for members in groups]
-        if scalar_items:
-            tasks.append((False, scalar_items))
+        tasks = vector_tasks + ([(False, scalar_items)] if scalar_items else [])
         outcomes = [call(task) for task in tasks]
 
     records: dict = {}
