@@ -25,14 +25,14 @@ every strategy on all four figure panels and asserts the shape claims:
   collapse that motivated the dead-reckoning default).
 
 The full table is written to ``BENCH_defense.json`` at the repo root
-(committed, like ``BENCH_sweep.json``) so defense regressions show up
-in review diffs.
+(committed, like ``BENCH_sweep.json``) under a host header, so defense
+regressions show up in review diffs.
 """
 
 import json
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, host_header
 from repro import fig2_scenario, fig3_scenario
 from repro.analysis import render_table
 from repro.analysis.defense_comparison import compare_defenses
@@ -101,6 +101,7 @@ def bench_defense_comparison(benchmark):
     assert not by_defense["fig3a"]["rls"]["collided"]
 
     record = {
+        "host": host_header("bench_defense_comparison", smoke=False),
         "panels": tables,
         "safe_everywhere": list(SAFE_EVERYWHERE),
     }

@@ -24,17 +24,16 @@ Asserts the service tentpole contract:
   (hits + misses = requests on ``/v1/runs``).
 
 The measured req/s numbers are written to ``BENCH_service.json`` at
-the repo root (committed, like ``BENCH.json``) so throughput is
-tracked across revisions.
+the repo root (committed, like ``BENCH_sweep.json``) under a host
+header, so throughput is tracked across revisions.
 """
 
 import asyncio
 import json
-import platform
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, host_header
 from repro import fig2_scenario, telemetry
 from repro.analysis import render_table
 from repro.service import ServiceApp, fetch_json
@@ -154,7 +153,7 @@ def bench_service_throughput(benchmark, tmp_path_factory):
     )
 
     record = {
-        "bench": "service_throughput",
+        "host": host_header("bench_service_throughput", smoke=False),
         "workload": (
             f"{m['mixed_requests']} mixed requests at 90% hit ratio + "
             f"{m['hit_requests']} pure hits over {unique} unique specs"
@@ -166,7 +165,6 @@ def bench_service_throughput(benchmark, tmp_path_factory):
         "coalesced": coalesced,
         "cache_hits": hits,
         "hit_rps_floor": HIT_RPS_FLOOR,
-        "python": platform.python_version(),
     }
     RESULTS_PATH.write_text(json.dumps(record, indent=2) + "\n")
 

@@ -3,7 +3,7 @@
 Drives a 10,000-run heterogeneous sweep (DoS and delay attacks x
 defended/undefended x five radar-noise levels, 500 seeds per cell)
 through a fresh 8-file directory store (``RunStore(path, shards=8)``,
-see ``docs/sharded_store.md``) at 1 and at 4 workers, then compares
+see ``docs/run_store.md``) at 1 and at 4 workers, then compares
 the adaptive scheduler against the fixed grid on a detection-rate
 panel.
 

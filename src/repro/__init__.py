@@ -49,7 +49,6 @@ from repro.core import (
     MeasurementEstimator,
     HoldLastValuePredictor,
     KalmanChannelPredictor,
-    LMSPredictor,
     PolynomialBasis,
     PRBSGenerator,
     RadarChannelEstimator,
@@ -84,14 +83,7 @@ from repro.radar import (
 from repro.vehicle import (
     ACCParameters,
     ACCSystem,
-    ArcLane,
-    BicycleKinematics,
     ConstantAccelerationProfile,
-    LaneKeepingController,
-    LateralSimulation,
-    LateralState,
-    SinusoidalLane,
-    StraightLane,
     IDMFollowerController,
     IDMParameters,
     IntelligentDriverModel,
@@ -182,7 +174,6 @@ __all__ = [
     "SafeMeasurementPipeline",
     "SafeMeasurement",
     "HoldLastValuePredictor",
-    "LMSPredictor",
     "KalmanChannelPredictor",
     "ChiSquareDetector",
     "CUSUMDetector",
@@ -218,13 +209,6 @@ __all__ = [
     "ConstantAccelerationProfile",
     "PiecewiseAccelerationProfile",
     "StopAndGoProfile",
-    "BicycleKinematics",
-    "LateralState",
-    "StraightLane",
-    "ArcLane",
-    "SinusoidalLane",
-    "LaneKeepingController",
-    "LateralSimulation",
     # simulation
     "Scenario",
     "DefenseConfig",

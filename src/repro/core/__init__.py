@@ -15,7 +15,7 @@
   measurements, detect, and substitute RLS estimates for the duration
   of the attack.
 * :mod:`repro.core.baselines` — comparison estimators (hold-last-value,
-  LMS, Kalman) and a χ²-residual detector in the spirit of PyCRA [10].
+  Kalman) and χ²-residual, CUSUM and safety-envelope detectors.
 """
 
 from repro.core.rls import RLSEstimator, rls_estimate
@@ -33,7 +33,6 @@ from repro.core.detector import CRADetector
 from repro.core.pipeline import SafeMeasurementPipeline, SafeMeasurement
 from repro.core.baselines import (
     HoldLastValuePredictor,
-    LMSPredictor,
     KalmanChannelPredictor,
     ChiSquareDetector,
     CUSUMDetector,
@@ -58,7 +57,6 @@ __all__ = [
     "SafeMeasurementPipeline",
     "SafeMeasurement",
     "HoldLastValuePredictor",
-    "LMSPredictor",
     "KalmanChannelPredictor",
     "ChiSquareDetector",
     "CUSUMDetector",

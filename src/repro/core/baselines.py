@@ -6,8 +6,6 @@ ablation benches meaningful, this module provides:
 
 * :class:`HoldLastValuePredictor` — the trivial recovery strategy: keep
   feeding the controller the last trusted value.
-* :class:`LMSPredictor` — least-mean-squares adaptation on the same
-  regressor bases as RLS (cheaper per step, slower convergence).
 * :class:`KalmanChannelPredictor` — a constant-velocity Kalman filter
   per channel, propagated open-loop during the attack.
 * :class:`ChiSquareDetector` — a residual-based detector that flags an
@@ -33,12 +31,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.predictor import Forecaster
-from repro.core.regressors import PolynomialBasis, RegressorBasis
 from repro.exceptions import EstimatorNotTrainedError
 
 __all__ = [
     "HoldLastValuePredictor",
-    "LMSPredictor",
     "KalmanChannelPredictor",
     "ChiSquareDetector",
     "CUSUMDetector",
@@ -63,59 +59,6 @@ class HoldLastValuePredictor(Forecaster):
     @property
     def trained(self) -> bool:
         return self._last is not None
-
-
-class LMSPredictor(Forecaster):
-    """Least-mean-squares forecaster on a polynomial time basis.
-
-    The normalized-LMS update ``w += μ e h / (ε + hᵀh)`` replaces the
-    RLS gain computation; convergence is slower and depends on the step
-    size ``μ``, which is exactly the contrast the ablation bench shows.
-    """
-
-    def __init__(
-        self,
-        basis: Optional[RegressorBasis] = None,
-        step_size: float = 0.5,
-        time_scale: float = 100.0,
-        min_training_samples: int = 5,
-    ):
-        if not 0.0 < step_size <= 2.0:
-            raise ValueError(f"step_size must be in (0, 2], got {step_size}")
-        self.basis = basis if basis is not None else PolynomialBasis(degree=1)
-        if self.basis.uses_history:
-            raise ValueError("LMSPredictor supports history-free bases only")
-        self.step_size = float(step_size)
-        self.time_scale = float(time_scale)
-        self.min_training_samples = int(min_training_samples)
-        self._weights = np.zeros(self.basis.n_params)
-        self._reference_time: Optional[float] = None
-        self._count = 0
-
-    def _normalize(self, time: float) -> float:
-        reference = self._reference_time if self._reference_time is not None else time
-        return (time - reference) / self.time_scale
-
-    def observe(self, time: float, value: float) -> None:
-        if self._reference_time is None:
-            self._reference_time = time
-        h = self.basis.regressor(self._normalize(time), [])
-        error = value - float(self._weights @ h)
-        norm = 1e-12 + float(h @ h)
-        self._weights = self._weights + self.step_size * error * h / norm
-        self._count += 1
-
-    def forecast(self, time: float) -> float:
-        if not self.trained:
-            raise EstimatorNotTrainedError(
-                f"LMS needs {self.min_training_samples} samples, has {self._count}"
-            )
-        h = self.basis.regressor(self._normalize(time), [])
-        return float(self._weights @ h)
-
-    @property
-    def trained(self) -> bool:
-        return self._count >= self.min_training_samples
 
 
 class KalmanChannelPredictor(Forecaster):

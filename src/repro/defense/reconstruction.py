@@ -172,21 +172,6 @@ class SSProblem:
         """Window length ``T`` (number of measurement rows)."""
         return self.ys.shape[0]
 
-    def input_contributions(self) -> np.ndarray:
-        """State contribution of the inputs: ``f[k]`` with ``f[0] = 0``.
-
-        ``x[k] = A^k x0 + f[k]`` where ``f[k+1] = A f[k] + B u[k]``
-        (nominal uniform spacing; the solver recomputes this with the
-        per-interval transition when one is configured).
-        """
-        T, n = self.io_length, self.n
-        f = np.zeros((T, n))
-        if self.B is None or self.us is None or len(self.us) == 0:
-            return f
-        for k in range(T - 1):
-            f[k + 1] = self.A @ f[k] + self.B @ self.us[k]
-        return f
-
 
 @dataclass(frozen=True)
 class ReconstructionCandidate:

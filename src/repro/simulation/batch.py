@@ -478,7 +478,6 @@ def execute_batch(
     specs: Sequence[RunSpec],
     *,
     workers: int = 1,
-    chunksize: Optional[int] = None,
     postprocess: Optional[Postprocess] = None,
     cache: Any = None,
     backend: Optional[str] = None,
@@ -493,11 +492,8 @@ def execute_batch(
         Process count for both engines.  ``1`` (default) runs serially
         in-process; more than the number of vector groups plus scalar
         runs is clamped.  One pool runs the batch: each vector group is
-        one task (largest first), followed by chunks of scalar runs.
-    chunksize:
-        Scalar specs handed to a worker per dispatch; defaults to
-        ``n // (workers * 4)`` (at least 1) for ``n`` scalar specs.
-        A vector group is always one dispatch.
+        one task (largest first), followed by chunks of
+        ``n // (workers * 4)`` (at least 1) of the ``n`` scalar runs.
     postprocess:
         Optional reducer ``(spec, result) -> payload`` applied worker-
         side — use a module-level function so it pickles; lets sweeps
@@ -597,7 +593,6 @@ def execute_batch(
         inner = _compute_batch(
             [spec for _, spec in misses],
             workers=workers,
-            chunksize=chunksize,
             postprocess=(
                 _StoreWritingPostprocess(binding.store, postprocess)
                 if writes else postprocess
@@ -723,7 +718,6 @@ def _compute_batch(
     specs: Sequence[RunSpec],
     *,
     workers: int,
-    chunksize: Optional[int],
     postprocess: Optional[Postprocess],
     backend: str = "scalar",
 ) -> BatchResult:
@@ -747,7 +741,7 @@ def _compute_batch(
     if effective > 1:
         # Specs branch from a shared prefix only within one chunk, so no
         # chunk waits for a prefix another chunk computes.
-        size = chunksize or _default_chunksize(len(scalar_items), effective)
+        size = _default_chunksize(len(scalar_items), effective)
         tasks = vector_tasks + [
             (False, scalar_items[i:i + size])
             for i in range(0, len(scalar_items), size)
@@ -898,7 +892,6 @@ def run_many(
     specs: Sequence[RunSpec],
     *,
     workers: int = 1,
-    chunksize: Optional[int] = None,
     postprocess: Optional[Postprocess] = None,
     cache: Any = None,
     backend: Optional[str] = None,
@@ -913,7 +906,6 @@ def run_many(
         execute_batch(
             specs,
             workers=workers,
-            chunksize=chunksize,
             postprocess=postprocess,
             cache=cache,
             backend=backend,

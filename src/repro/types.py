@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -157,11 +157,3 @@ class DetectionEvent:
     time: float
     attack_detected: bool
     receiver_output: float
-
-
-def as_float_array(values: Sequence[float]) -> np.ndarray:
-    """Coerce a sequence to a 1-D float64 array (shared helper)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got shape {arr.shape}")
-    return arr

@@ -24,17 +24,6 @@ from repro.vehicle.upper_controller import UpperLevelController, ControlMode
 from repro.vehicle.lower_controller import LowerLevelController, ActuatorCommand
 from repro.vehicle.acc import ACCSystem, ACCStepResult
 from repro.vehicle.idm import IDMParameters, IntelligentDriverModel, IDMFollowerController
-from repro.vehicle.lateral import (
-    ArcLane,
-    BicycleKinematics,
-    LaneKeepingController,
-    LanePath,
-    LateralResult,
-    LateralSimulation,
-    LateralState,
-    SinusoidalLane,
-    StraightLane,
-)
 from repro.vehicle.leader import (
     LeaderProfile,
     ConstantAccelerationProfile,
@@ -60,13 +49,4 @@ __all__ = [
     "ConstantAccelerationProfile",
     "PiecewiseAccelerationProfile",
     "StopAndGoProfile",
-    "LateralState",
-    "BicycleKinematics",
-    "LanePath",
-    "StraightLane",
-    "ArcLane",
-    "SinusoidalLane",
-    "LaneKeepingController",
-    "LateralSimulation",
-    "LateralResult",
 ]

@@ -7,9 +7,7 @@ from repro.core import (
     ChiSquareDetector,
     HoldLastValuePredictor,
     KalmanChannelPredictor,
-    LMSPredictor,
 )
-from repro.core.regressors import ARBasis
 from repro.exceptions import EstimatorNotTrainedError
 
 
@@ -24,40 +22,6 @@ class TestHoldLastValue:
         p.observe(1.0, 7.0)
         assert p.forecast(100.0) == 7.0
         assert p.trained
-
-
-class TestLMSPredictor:
-    def test_learns_linear_trend(self):
-        p = LMSPredictor(step_size=0.5)
-        for k in range(300):
-            p.observe(float(k), 10.0 + 0.05 * k)
-        assert p.forecast(320.0) == pytest.approx(10.0 + 0.05 * 320.0, abs=1.0)
-
-    def test_slower_than_rls(self):
-        # After few samples LMS lags a steep trend; this is the
-        # convergence contrast the ablation bench shows.
-        from repro.core import ChannelPredictor
-
-        lms = LMSPredictor(step_size=0.5)
-        rls = ChannelPredictor(forgetting=1.0, delta=1e6)
-        for k in range(15):
-            value = 100.0 - 2.0 * k
-            lms.observe(float(k), value)
-            rls.observe(float(k), value)
-        truth = 100.0 - 2.0 * 20.0
-        assert abs(rls.forecast(20.0) - truth) < abs(lms.forecast(20.0) - truth)
-
-    def test_untrained_raises(self):
-        p = LMSPredictor(min_training_samples=5)
-        p.observe(0.0, 1.0)
-        with pytest.raises(EstimatorNotTrainedError):
-            p.forecast(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LMSPredictor(step_size=0.0)
-        with pytest.raises(ValueError):
-            LMSPredictor(basis=ARBasis(order=2))
 
 
 class TestKalmanChannelPredictor:

@@ -18,6 +18,7 @@ import repro
 from repro import telemetry
 from repro.attacks import AttackSchedule, AttackWindow, DoSJammingAttack
 from repro.simulation import RunSpec, execute_batch
+from repro.simulation.batch import _default_chunksize
 from repro.simulation.engine import CarFollowingSimulation
 from repro.simulation.io import result_to_dict
 from repro.simulation.scenario import PANELS, panel_scenario
@@ -130,9 +131,18 @@ def test_figure_mode_matches_fresh_legs(panel):
 
 
 def test_two_workers_branch_within_chunks():
-    specs = _undefended_pairs("equation")
+    # 16 specs on two workers cut into chunks of 2, one (baseline,
+    # attacked) pair each, so every pooled chunk branches.
+    specs = [
+        RunSpec(_scenario(panel, sensor_seed=seed), attack_enabled=attacked,
+                defended=False, tag=f"{panel}/{seed}/{attacked}")
+        for seed in (2017, 2018)
+        for panel in PANELS
+        for attacked in (False, True)
+    ]
+    assert _default_chunksize(len(specs), 2) == 2
     serial, _ = _branched(specs)
-    pooled = execute_batch(specs, workers=2, chunksize=4, backend="scalar")
+    pooled = execute_batch(specs, workers=2, backend="scalar")
     assert pooled.parallel or pooled.degraded_reason is not None
     for payload, reference in zip(pooled.raise_on_error().payloads(), serial):
         assert _same(payload, reference)

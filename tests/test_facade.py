@@ -162,6 +162,34 @@ class TestPublicNames:
             assert not hasattr(repro.facade, name)
             assert name not in repro.__all__
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ArcLane",
+            "BicycleKinematics",
+            "LaneKeepingController",
+            "LateralSimulation",
+            "LateralState",
+            "SinusoidalLane",
+            "StraightLane",
+            "LMSPredictor",
+        ],
+    )
+    def test_deleted_names_are_gone(self, name):
+        """No public namespace re-exports a deleted class."""
+        for module in (repro, repro.vehicle, repro.core):
+            assert not hasattr(module, name)
+            assert name not in module.__all__
+
+    @pytest.mark.parametrize(
+        "module",
+        [repro, repro.vehicle, repro.core, repro.simulation, repro.store],
+        ids=lambda module: module.__name__,
+    )
+    def test_every_exported_name_resolves(self, module):
+        for name in module.__all__:
+            assert getattr(module, name, None) is not None, name
+
 
 class TestKnobRules:
     @pytest.mark.parametrize("workers", [True, False])
