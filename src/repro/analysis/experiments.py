@@ -355,6 +355,19 @@ REGISTRY: Tuple[Experiment, ...] = (
         modules=("simulation.batch", "simulation.engine"),
         kind="extension",
     ),
+    Experiment(
+        identifier="radar-music",
+        title="One-beat root-MUSIC: certified root vs companion eigensolve",
+        paper_claim="",
+        workload="every segment root-MUSIC sees in one defended signal run "
+        "of each panel (seed 2017): per-call p50 of the certified path and "
+        "of the eigensolve on the same segments, the certified share and "
+        "radar.measure_us_p50; asserts 0 disagreements; writes "
+        "BENCH_radar.json",
+        bench="bench_radar_music.py",
+        modules=("radar.music", "radar.receiver"),
+        kind="extension",
+    ),
 )
 
 _BY_ID: Dict[str, Experiment] = {exp.identifier: exp for exp in REGISTRY}

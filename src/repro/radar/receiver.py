@@ -117,10 +117,22 @@ class RadarReceiver:
         """Absolute presence threshold in watts."""
         return self.detection_threshold_factor * self.params.noise_floor
 
+    def _presence(self, up: np.ndarray, down: np.ndarray) -> "tuple[float, bool]":
+        """Mean per-sample power of the two segments, and whether anything
+        but the thermal floor reached the receiver."""
+        power = 0.5 * (signal_power(up) + signal_power(down))
+        if self._cfar is not None:
+            return power, self._cfar.detect(up).present or self._cfar.detect(down).present
+        return power, not power < self.detection_threshold
+
     def _extract_frequency(self, segment: np.ndarray) -> float:
         """Beat frequency of one segment, root-MUSIC with FFT fallback.
 
-        Each fallback bumps the ``radar.music_fallbacks`` counter.
+        Each FFT fallback bumps the ``radar.music_fallbacks`` counter (a
+        root-MUSIC call that leaves its one-root path bumps
+        ``radar.music_exact_path`` instead).  A NaN or infinite sample
+        raises :class:`ValueError` from root-MUSIC: no estimate of such a
+        segment is trustworthy, so none is substituted.
         """
         try:
             freqs = root_music(
@@ -143,14 +155,8 @@ class RadarReceiver:
         """
         up = np.asarray(up_segment, dtype=complex)
         down = np.asarray(down_segment, dtype=complex)
-        power = 0.5 * (signal_power(up) + signal_power(down))
-        if self._cfar is not None:
-            absent = not (
-                self._cfar.detect(up).present or self._cfar.detect(down).present
-            )
-        else:
-            absent = power < self.detection_threshold
-        if absent:
+        power, present = self._presence(up, down)
+        if not present:
             return ReceiverOutput(
                 present=False,
                 power=power,
@@ -189,14 +195,7 @@ class RadarReceiver:
             raise ValueError(f"n_targets must be >= 1, got {n_targets}")
         up = np.asarray(up_segment, dtype=complex)
         down = np.asarray(down_segment, dtype=complex)
-        power = 0.5 * (signal_power(up) + signal_power(down))
-        if self._cfar is not None:
-            absent = not (
-                self._cfar.detect(up).present or self._cfar.detect(down).present
-            )
-        else:
-            absent = power < self.detection_threshold
-        if absent:
+        if not self._presence(up, down)[1]:
             return []
         ups = root_music(
             up, n_targets, self.params.sample_rate,

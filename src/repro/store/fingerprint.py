@@ -49,7 +49,7 @@ __all__ = [
 #: Version salt mixed into every fingerprint.  Bump when the simulation
 #: engine, the spec dict schema, or the stored payload codec changes in
 #: a way that invalidates previously stored results.
-STORE_SCHEMA_VERSION = 5  # 5: root-MUSIC roots a real (Cayley-mapped) polynomial
+STORE_SCHEMA_VERSION = 6  # 6: one-beat root-MUSIC polishes a certified Newton root
 
 
 def _coerce_scalar(obj: Any) -> Any:

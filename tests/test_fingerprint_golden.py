@@ -36,26 +36,26 @@ from repro.vehicle.params import ACCParameters
 
 #: ``run_fingerprint`` of each panel at the paper seed, per strategy.
 GOLDEN = {
-    ("fig2a", "rls"): "600620c0235624e90bc0322cf634ca338acedee62d86fba20f6b7d5863b00421",
-    ("fig2a", "secure_reconstruction"): "6022b88d08470f14df08b5173c9570184b67bcfd84b878c1a52fd033896b20c0",
-    ("fig2a", "safety_filter"): "31751d5ad2c03f7ba80cb2052051fdb8c347ef4f4a83dc14c5abcc9b0defa767",
-    ("fig2a", "combined"): "ee3fe305370dbe00b8ea69efe5112f4c85ce33c0ac06d6ca4ba3f6e66923d8cc",
-    ("fig2b", "rls"): "28278bdecb9067493191c4477b31ab27586e8924b884506e8c77bf4e2adabd74",
-    ("fig2b", "secure_reconstruction"): "ff2efafeeab710c70d3a68b513e7c3fb6e98ba0f525a59e9d80a65e01a7e8aa4",
-    ("fig2b", "safety_filter"): "e7d24e7ee195f4a056a2bbddbc1f5f38b42613867515ecf86647741dbdfa45d3",
-    ("fig2b", "combined"): "4e658827a904b87212d6c850c1f08ea0d2d8ea20cebc0f75757ffe8f93655526",
-    ("fig3a", "rls"): "644455498b2d23dc40739a0364c19493169389f56ec91c8509d1608be9e83ab3",
-    ("fig3a", "secure_reconstruction"): "d14aca4a4f23759bfafc6c27d243f51cf2b27bc959e2b14b1cfe2ebe5d6a74fd",
-    ("fig3a", "safety_filter"): "d28bc660b24a3b1032bf164caaffb1d5cc3d9579e917accef19f78c46605c3e7",
-    ("fig3a", "combined"): "2b8df54a1981b892adaf711a2f9184a17e75002163587655fdc1c21a2ccf2be3",
-    ("fig3b", "rls"): "0a3b798100aa1c69b243efe787fc01a49c0f67e275c2aea91e01370d3cd7878e",
-    ("fig3b", "secure_reconstruction"): "49539b0d9d6f3f2fa2054dc235ce5ca779b681da3a5a086aeb9336b2bbce69cc",
-    ("fig3b", "safety_filter"): "59175fd8c15c0692db968fca2ffda3622441c5defb49c2b0382112a59a94b05f",
-    ("fig3b", "combined"): "b15da8f97d2050ef215e37222eb1f10d0970e361c50804071de5ebfc65c95a44",
+    ("fig2a", "rls"): "4017c198a9c694420e9a4f7813158a1ffe5e54fba4f2e4ac741c35b0eba268e5",
+    ("fig2a", "secure_reconstruction"): "d10562f8a63845506b33e5cbe2dd7873170d463f2d9a361479cacca4146dec4b",
+    ("fig2a", "safety_filter"): "6634ab1dd8af637e84fec3ef14720183503221414c2a5b13c9884620699211b3",
+    ("fig2a", "combined"): "c100f8ab87226128c4539d00e2a7a2f4f46e73a509ba2cf292084476efdd665d",
+    ("fig2b", "rls"): "aa6a4dd90b5f2e2ab9dd41057599619bc0129e5f4157ad6faa98cfda87bd39f6",
+    ("fig2b", "secure_reconstruction"): "3cbdf1339c52ccc5cbe01853eb001b54293e92210fb288ea900b66a332cc81fd",
+    ("fig2b", "safety_filter"): "40e6318abd07e04ba4abfcf3690b2a12f987d4d396e4945f13e08b4e2839e482",
+    ("fig2b", "combined"): "fe64dfb4b045b112adafc5f13c893f4b8635fc8066ff89fc8dffeedba8af6e52",
+    ("fig3a", "rls"): "8182fcf0f5fb3755c2b256c89892c8454a79dcd9964ea9cec7c72aa258c8969d",
+    ("fig3a", "secure_reconstruction"): "0dc11c9bd80f356fb8b8bce623c386494d0a406975a58845d11dde5a3103d7af",
+    ("fig3a", "safety_filter"): "824ca0f845cd387be154d245172fce2c54cc08c8a9da3530bfc44796b0d5e481",
+    ("fig3a", "combined"): "0e81d876998e5053ddb09e812a0b3ee4c564bb201756b9defbaa959c4fcd056d",
+    ("fig3b", "rls"): "d9ae3582c79402c310624e36e17ded62234a2db8c9ded22fff286102094ac5da",
+    ("fig3b", "secure_reconstruction"): "650c6566e019f316f121c52030018fa2e176e0d4338d1fcdd12810aadbe0e571",
+    ("fig3b", "safety_filter"): "8b6c16aa0f3767e92792e48dbbec833177cf98f94d0176d3c14b1dd1b92db456",
+    ("fig3b", "combined"): "2967ed09adfc697fa9ac030bbc404adf797d85deb6e1450330718af1b7b1a470",
 }
 
 #: ``run_fingerprint`` of fig2a with an IDM follower (``idm_params`` set).
-GOLDEN_IDM = "333d75ce1bdf94e261f9399405a5f1871a29782cd5d07a282e2d4a4dd968d9c5"
+GOLDEN_IDM = "d794c0307fb693735baa9724b4e7e82726757205717b1586943627d4799b2573"
 
 #: SHA-256 of the ``spec_json`` column text (``json.dumps`` of
 #: ``scenario_to_dict``, which keeps key order) of every spec above,
@@ -94,7 +94,7 @@ def _idm_spec():
 
 def test_golden_set_covers_every_panel_and_strategy():
     assert set(GOLDEN) == {(p, s) for p in PANELS for s in DEFENSE_STRATEGIES}
-    assert STORE_SCHEMA_VERSION == 5
+    assert STORE_SCHEMA_VERSION == 6
 
 
 @pytest.mark.parametrize("panel, strategy", sorted(GOLDEN))

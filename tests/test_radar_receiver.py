@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.radar import FMCWParameters, RadarReceiver, beat_frequencies
-from repro.radar.link_budget import received_power
+from repro.exceptions import SpectralEstimationError
+from repro.radar import (
+    AttackEffect,
+    FMCWParameters,
+    FMCWRadarSensor,
+    RadarReceiver,
+    beat_frequencies,
+)
+from repro.radar.link_budget import (
+    JammerParameters,
+    jammer_received_power,
+    received_power,
+)
 from repro.radar.music import MAX_COVARIANCE_ORDER
 from repro.radar.signal_synth import complex_awgn, synthesize_beat_signal
 
@@ -120,3 +131,35 @@ class TestJammedReceiver:
         )
         assert out.present
         assert out.power > 100.0 * PARAMS.noise_floor
+
+
+class TestNonFiniteSegments:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["up", "down"])
+    def test_raises_instead_of_falling_back(self, bad, which):
+        up, down = synth_echo(60.0, -1.5)
+        (up if which == "up" else down)[33] = bad
+        with telemetry.session() as tele:
+            with pytest.raises(ValueError, match="sample 33 is not finite") as info:
+                RadarReceiver(PARAMS).process(up, down)
+        assert not isinstance(info.value, SpectralEstimationError)
+        assert "radar.music_fallbacks" not in tele.counters
+
+
+class TestExactPathCounter:
+    def test_clean_echo_stays_on_the_one_root_path(self):
+        with telemetry.session() as tele:
+            RadarReceiver(PARAMS).process(*synth_echo(60.0, -1.5))
+        assert "radar.music_exact_path" not in tele.counters
+
+    def test_jammed_fig2a_segments_take_the_exact_path(self):
+        # The fig2a jammer (Eqns 10-11) at the panels' 100 m initial gap swamps
+        # the echo: both segments are noise-dominated.
+        jammer = jammer_received_power(PARAMS, JammerParameters(), 100.0)
+        sensor = FMCWRadarSensor(fidelity="signal", seed=2017)
+        with telemetry.session() as tele:
+            sensor.measure(
+                182.0, 100.0, -0.9, effect=AttackEffect(jammer_noise_power=jammer)
+            )
+        assert tele.counters["radar.music_exact_path"] == 2
+        assert "radar.music_fallbacks" not in tele.counters
