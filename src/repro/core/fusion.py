@@ -9,8 +9,8 @@ cost of the system" — this module implements the approach so the
 comparison bench can quantify exactly that trade against CRA+RLS.
 
 :class:`MedianFusionDefense` fuses per-instant measurements;
-:func:`run_redundant_defense` runs the full car-following loop with
-``n_sensors`` radars of which ``n_attacked`` are corrupted (a spatially
+:func:`run_redundant_defense` runs the pair engine's car-following loop
+with ``n_sensors`` radars of which ``n_attacked`` are corrupted (a spatially
 localized attacker cannot illuminate every aperture/band at once — the
 standard redundancy assumption; if the attacker corrupts a majority,
 fusion fails, which the tests also pin down).
@@ -19,20 +19,19 @@ fusion fails, which the tests also pin down).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cra import ChallengeSchedule
+from repro.core.pipeline import SafeMeasurement
 from repro.exceptions import ConfigurationError
 from repro.radar.sensor import FMCWRadarSensor
-from repro.simulation.engine import _POST_COLLISION_GAP_FLOOR
+from repro.simulation.engine import _FollowerStep, _run_pair
 from repro.simulation.results import SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.types import RadarMeasurement
 from repro.vehicle.acc import ACCSystem
-from repro.vehicle.kinematics import advance_state
-from repro.vehicle.state import VehicleState
-from repro.vehicle.upper_controller import ControlMode
 
 __all__ = ["FusedMeasurement", "MedianFusionDefense", "run_redundant_defense"]
 
@@ -109,6 +108,47 @@ class MedianFusionDefense:
         return fused
 
 
+@dataclass
+class _RedundantRadar:
+    """``n`` radars read as one sensor, fused in the defense pipeline's seat.
+
+    :meth:`measure` hands the attack's effect to the first
+    ``n_attacked`` radars and returns radar 0's reading (the traces'
+    ``measured_*``); :meth:`process` fuses every radar's reading and
+    hands the median to the controller, with both flags set to the
+    outlier flag.
+    """
+
+    sensors: List[FMCWRadarSensor]
+    n_attacked: int
+    fusion: MedianFusionDefense
+    readings: Sequence[RadarMeasurement] = ()
+
+    def measure(self, time, distance, relative_velocity, transmit=True, effect=None):
+        self.readings = [
+            sensor.measure(
+                time,
+                distance,
+                relative_velocity,
+                transmit=transmit,
+                effect=effect if i < self.n_attacked else None,
+            )
+            for i, sensor in enumerate(self.sensors)
+        ]
+        return self.readings[0]
+
+    def process(self, measurement, follower_speed=None) -> SafeMeasurement:
+        fused = self.fusion.fuse(self.readings)
+        return SafeMeasurement(
+            time=fused.time,
+            distance=fused.distance,
+            relative_velocity=fused.relative_velocity,
+            estimated=fused.attack_suspected,
+            attack_active=fused.attack_suspected,
+            raw=measurement,
+        )
+
+
 def run_redundant_defense(
     scenario: Scenario,
     n_sensors: int = 3,
@@ -121,7 +161,9 @@ def run_redundant_defense(
     The follower carries ``n_sensors`` radars with independent noise;
     the scenario's attack corrupts the first ``n_attacked`` of them.
     No CRA modulation is used (``transmit`` is always on): redundancy is
-    the *only* defense, exactly as in the related work.
+    the *only* defense, exactly as in the related work.  The run is the
+    pair engine's loop around one follower step whose sensor and
+    pipeline are the fused radars.
 
     Returns the run result and the fusion defense (whose history holds
     the disagreement flags).
@@ -142,69 +184,15 @@ def run_redundant_defense(
     fusion = MedianFusionDefense(
         n_sensors=n_sensors, disagreement_threshold=disagreement_threshold
     )
+    radars = _RedundantRadar(sensors, n_attacked, fusion)
     attack = scenario.attack if attack_enabled else None
     acc = ACCSystem(scenario.acc_params)
-    leader = VehicleState(
-        position=scenario.initial_distance, velocity=scenario.leader_initial_speed
-    )
-    follower = VehicleState(position=0.0, velocity=scenario.follower_initial_speed)
-
+    no_challenges = ChallengeSchedule(())
+    step = _FollowerStep(scenario, radars, acc, attack, no_challenges, pipeline=radars)
     result = SimulationResult.empty(
         f"{scenario.name}/redundant-{n_sensors}x",
         attack_name=attack.label.value if attack else "none",
         defended=True,
     )
-    for time in scenario.times():
-        true_gap = leader.position - follower.position
-        if true_gap <= 0.0 and result.collision_time is None:
-            result.collision_time = time
-        radar_gap = max(true_gap, _POST_COLLISION_GAP_FLOOR)
-        relative_velocity = leader.velocity - follower.velocity
-
-        effect = (
-            attack.effect_at(time, radar_gap, relative_velocity)
-            if attack is not None
-            else None
-        )
-        measurements = [
-            sensor.measure(
-                time,
-                radar_gap,
-                relative_velocity,
-                transmit=True,
-                effect=effect if i < n_attacked else None,
-            )
-            for i, sensor in enumerate(sensors)
-        ]
-        fused = fusion.fuse(measurements)
-        step = acc.step(
-            follower.velocity, (fused.distance, fused.relative_velocity)
-        )
-        result.record(
-            time,
-            leader_position=leader.position,
-            leader_velocity=leader.velocity,
-            follower_position=follower.position,
-            follower_velocity=follower.velocity,
-            follower_acceleration=step.actual_acceleration,
-            true_distance=true_gap,
-            true_relative_velocity=relative_velocity,
-            measured_distance=measurements[0].distance,
-            measured_relative_velocity=measurements[0].relative_velocity,
-            safe_distance=fused.distance,
-            safe_relative_velocity=fused.relative_velocity,
-            desired_distance=step.upper.desired_distance,
-            desired_acceleration=step.desired_acceleration,
-            pedal_acceleration=step.actuation.pedal_acceleration,
-            brake_pressure=step.actuation.brake_pressure,
-            spacing_mode=1.0 if step.mode is ControlMode.SPACING else 0.0,
-            estimated_flag=1.0 if fused.attack_suspected else 0.0,
-            attack_active_flag=1.0 if fused.attack_suspected else 0.0,
-        )
-        leader = advance_state(
-            leader, scenario.leader_profile.acceleration(time), scenario.sample_period
-        )
-        follower = advance_state(
-            follower, step.actual_acceleration, scenario.sample_period
-        )
+    _run_pair(scenario, step, result)
     return result, fusion

@@ -1,17 +1,24 @@
-"""The closed-loop car-following step loop (paper Figure 1).
+"""The closed-loop car-following step and the pair loop (paper Figure 1).
 
-Each discrete step ``k``:
+Each discrete step ``k`` a follower's :class:`_FollowerStep`:
 
-1. compute the true scene geometry (gap, relative velocity);
-2. apply the CRA modulation decision ``m(k)`` (the radar always carries
+1. takes the true scene geometry (gap, relative velocity);
+2. applies the CRA modulation decision ``m(k)`` (the radar always carries
    the modified modulator — the challenge "spikes to zero" appear in
    every run, exactly as in the paper's figures);
-3. resolve the active attack's injection and produce the raw radar
+3. resolves the active attack's injection and produces the raw radar
    measurement;
-4. feed the measurement to the defense pipeline (when defended) or to a
+4. feeds the measurement to the defense pipeline (when defended) or to a
    simple coasting tracker (when not) to obtain what the controller
    sees;
-5. run the ACC hierarchy and advance both vehicles' kinematics.
+5. runs the ACC hierarchy, through the safety filter when the defense
+   has one.
+
+The pair loop (:meth:`CarFollowingSimulation.run`) puts one step behind
+the scenario's leader, records the traces and advances both vehicles;
+the platoon (:mod:`repro.simulation.platoon`) chains one step per
+follower, and the redundancy run (:mod:`repro.core.fusion`) drives the
+pair loop with a composite sensor.
 
 A collision (gap reaching zero) is recorded at its first occurrence;
 the run continues with the radar geometry floored at a small positive
@@ -38,8 +45,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro import telemetry as _telemetry
 from repro.attacks.base import Attack
@@ -59,7 +67,6 @@ from repro.radar.sensor import FMCWRadarSensor
 from repro.radar.tracker import AlphaBetaTracker
 from repro.simulation.results import SimulationResult
 from repro.simulation.scenario import Scenario
-from repro.types import RadarMeasurement
 from repro.vehicle.acc import ACCSystem
 from repro.vehicle.idm import IDMFollowerController
 from repro.vehicle.kinematics import advance_state
@@ -72,8 +79,8 @@ __all__ = ["CarFollowingSimulation", "RunSnapshot", "build_defense_pipeline"]
 #: sensing chain stays defined for the remainder of the run.
 _POST_COLLISION_GAP_FLOOR = 0.5
 
-#: The run's parts that exist only under some toggles, by attribute name
-#: (shared by the simulation and :class:`RunSnapshot`).
+#: The step's parts that exist only under some toggles, by attribute name
+#: (shared by :class:`_FollowerStep` and :class:`RunSnapshot`).
 _OPTIONAL_PARTS = ("tracker", "challenge_policy", "pipeline", "safety_filter")
 
 
@@ -153,6 +160,293 @@ class RunSnapshot:
     safety_filter: object = None
 
 
+@dataclass(eq=False)
+class _FollowerStep:
+    """One follower's sense → defend → control step.
+
+    Holds the follower's radar, CRA policy, defense pipeline (or coasting
+    tracker), safety filter and ACC; the loop around it owns the
+    vehicles and the traces.  Every part follows the ``snapshot()`` /
+    ``restore()`` protocol, and so does the step.
+    """
+
+    scenario: Scenario
+    sensor: FMCWRadarSensor
+    acc: ACCSystem
+    attack: Optional[Attack]
+    schedule: ChallengeSchedule
+    pipeline: Optional[SafeMeasurementPipeline] = None
+    tracker: Optional[AlphaBetaTracker] = None
+    safety_filter: Optional[SafetyFilter] = None
+    challenge_policy: Optional[AdaptiveChallengePolicy] = None
+
+    @classmethod
+    def build(
+        cls, scenario: Scenario, attack: Optional[Attack], defended: bool, seed: int
+    ) -> "_FollowerStep":
+        """The parts ``scenario`` describes for one follower."""
+        # Adaptive challenge policy (optional): modulator and detector
+        # must share the same decision record.
+        challenge_policy = (
+            AdaptiveChallengePolicy(
+                scenario.schedule(), scenario.adaptive_challenge_period
+            )
+            if defended and scenario.adaptive_challenge_period is not None
+            else None
+        )
+        # Actuation-layer defense (strategy "safety_filter"/"combined"):
+        # clamps the commanded acceleration to the certified-gap CBF
+        # bound, independent of whether detection ever fires.
+        safety_filter = (
+            SafetyFilter(
+                sample_period=scenario.sample_period,
+                headway=scenario.defense.filter_headway,
+                minimum_gap=scenario.defense.filter_minimum_gap,
+                gamma=scenario.defense.filter_gamma,
+                leader_accel_bound=scenario.defense.filter_leader_accel_bound,
+                min_acceleration=scenario.acc_params.min_acceleration,
+            )
+            if defended and scenario.defense.uses_safety_filter
+            else None
+        )
+        if scenario.follower_policy == "idm":
+            acc = IDMFollowerController(
+                params=scenario.idm_params, acc_params=scenario.acc_params
+            )
+        else:
+            acc = ACCSystem(scenario.acc_params)
+        return cls(
+            scenario,
+            FMCWRadarSensor(
+                params=scenario.radar_params,
+                fidelity=scenario.fidelity,
+                seed=seed,
+                **scenario.sensor_noise_overrides(),
+            ),
+            acc,
+            attack,
+            scenario.schedule(),
+            pipeline=(
+                build_defense_pipeline(scenario, schedule=challenge_policy)
+                if defended
+                else None
+            ),
+            # The undefended stack is a conventional radar tracker that
+            # coasts through empty returns (challenge instants look like
+            # ordinary missed detections to it).
+            tracker=(
+                None
+                if defended
+                else AlphaBetaTracker(sample_period=scenario.sample_period)
+            ),
+            safety_filter=safety_filter,
+            challenge_policy=challenge_policy,
+        )
+
+    def __call__(
+        self, time, true_gap, true_relative_velocity, follower_speed, clock=None
+    ):
+        """Sense, defend and control for one sample.
+
+        Returns ``(measurement, view, estimated, attack_active, control)``.
+        ``clock``, when given, accumulates the call's sense and estimate
+        wall-clock (seconds) into its first two entries.
+        """
+        if clock is not None:
+            t0 = perf_counter()
+        radar_gap = max(true_gap, _POST_COLLISION_GAP_FLOOR)
+        if self.challenge_policy is not None:
+            transmit = not self.challenge_policy.decide(
+                time, self.pipeline.attack_active
+            )
+        else:
+            transmit = not self.schedule.is_challenge(time)
+        effect = (
+            self.attack.effect_at(time, radar_gap, true_relative_velocity)
+            if self.attack is not None
+            else None
+        )
+        measurement = self.sensor.measure(
+            time, radar_gap, true_relative_velocity, transmit=transmit, effect=effect
+        )
+        # The paper assumes the ego-speed sensor is trusted; the
+        # ego_speed_bias knob stresses that assumption (the defense
+        # sees the biased value, the physics uses the true one).
+        sensed_ego_speed = (
+            self.scenario.ego_speed_gain * follower_speed
+            + self.scenario.ego_speed_bias
+        )
+        if clock is not None:
+            t1 = perf_counter()
+            clock[0] += t1 - t0
+        if self.pipeline is not None:
+            safe = self.pipeline.process(measurement, follower_speed=sensed_ego_speed)
+            view = (safe.distance, safe.relative_velocity)
+            estimated, attack_active = safe.estimated, safe.attack_active
+        else:
+            # Undefended: the alpha-beta tracker smooths detections and
+            # coasts through empty returns (a challenge instant looks
+            # like an ordinary missed detection to it).
+            coasting = measurement.is_zero_output(1e-9)
+            view = self.tracker.update(
+                None
+                if coasting
+                else (measurement.distance, measurement.relative_velocity)
+            )
+            estimated, attack_active = coasting and view is not None, False
+        if clock is not None:
+            clock[1] += perf_counter() - t1
+        # The safety filter certifies whatever the controller is about
+        # to act on (the defense-visible quantities, including the
+        # ego-speed bias stress knob), so its guarantee does not depend
+        # on the pipeline having substituted anything.
+        accel_filter = (
+            partial(
+                self.safety_filter.clamp,
+                follower_speed=sensed_ego_speed,
+                distance=view[0],
+                relative_velocity=view[1],
+            )
+            if self.safety_filter is not None and view is not None
+            else None
+        )
+        control = self.acc.step(follower_speed, view, accel_filter=accel_filter)
+        return measurement, view, estimated, attack_active, control
+
+    def snapshot(self) -> dict:
+        """Every part's state, keyed by its :class:`RunSnapshot` field."""
+        return dict(
+            sensor=self.sensor.snapshot(),
+            controller=self.acc.snapshot(),
+            **{
+                part: getattr(self, part).snapshot()
+                for part in _OPTIONAL_PARTS
+                if getattr(self, part) is not None
+            },
+        )
+
+    def restore(self, snapshot: RunSnapshot) -> None:
+        """Load ``snapshot`` into this step's freshly built parts."""
+        self.sensor.restore(snapshot.sensor)
+        self.acc.restore(snapshot.controller)
+        for name in _OPTIONAL_PARTS:
+            part, state = getattr(self, name), getattr(snapshot, name)
+            if (part is None) != (state is None):
+                raise ValueError(
+                    "snapshot does not fit this run: it was taken with "
+                    "other defense toggles"
+                )
+            if part is not None:
+                part.restore(state)
+
+
+def _run_pair(
+    scenario: Scenario,
+    step: _FollowerStep,
+    result: SimulationResult,
+    resume_from: Optional[RunSnapshot] = None,
+    snapshot_at: Optional[float] = None,
+) -> Optional[RunSnapshot]:
+    """Drive ``step`` behind the scenario's leader, recording into ``result``.
+
+    Starts from ``resume_from`` when given, else at t = 0.  Returns the
+    :class:`RunSnapshot` taken just before the first step at or after
+    ``snapshot_at`` (after the last step if there is none), or None when
+    ``snapshot_at`` is None.
+    """
+    leader = VehicleState(
+        position=scenario.initial_distance,
+        velocity=scenario.leader_initial_speed,
+    )
+    follower = VehicleState(position=0.0, velocity=scenario.follower_initial_speed)
+    times = scenario.times()
+    first = 0
+    if resume_from is not None:
+        first = resume_from.step
+        leader = resume_from.leader
+        follower = resume_from.follower
+        result.restore(resume_from.result)
+        step.restore(resume_from)
+    # The step the snapshot is taken before (none past the end).
+    branch = (
+        len(times) + 1 if snapshot_at is None else bisect_left(times, snapshot_at)
+    )
+    snapshot = None
+    # Per-stage timing is gated on an active telemetry session: when
+    # `clock` is None the loop pays one local None-check per stage and
+    # nothing else (bench_telemetry_overhead asserts the bound).
+    tele = _telemetry.current()
+    clock = None if tele is None else [0.0, 0.0, 0.0]
+    for k in range(first, len(times) + 1):
+        if k == branch:
+            snapshot = RunSnapshot(
+                step=k,
+                leader=leader,
+                follower=follower,
+                result=result.snapshot(),
+                **step.snapshot(),
+            )
+        if k == len(times):
+            break
+        time = times[k]
+        if clock is not None:
+            t0 = perf_counter()
+        true_gap = leader.position - follower.position
+        if true_gap <= 0.0 and result.collision_time is None:
+            result.collision_time = time
+        true_relative_velocity = leader.velocity - follower.velocity
+        measurement, view, estimated, attack_active, control = step(
+            time, true_gap, true_relative_velocity, follower.velocity, clock
+        )
+
+        result.record(
+            time,
+            leader_position=leader.position,
+            leader_velocity=leader.velocity,
+            follower_position=follower.position,
+            follower_velocity=follower.velocity,
+            follower_acceleration=control.actual_acceleration,
+            true_distance=true_gap,
+            true_relative_velocity=true_relative_velocity,
+            measured_distance=measurement.distance,
+            measured_relative_velocity=measurement.relative_velocity,
+            safe_distance=view[0] if view is not None else 0.0,
+            safe_relative_velocity=view[1] if view is not None else 0.0,
+            desired_distance=control.upper.desired_distance,
+            desired_acceleration=control.desired_acceleration,
+            pedal_acceleration=control.actuation.pedal_acceleration,
+            brake_pressure=control.actuation.brake_pressure,
+            spacing_mode=1.0 if control.mode is ControlMode.SPACING else 0.0,
+            estimated_flag=1.0 if estimated else 0.0,
+            attack_active_flag=1.0 if attack_active else 0.0,
+        )
+
+        leader_acceleration = scenario.leader_profile.acceleration(time)
+        leader = advance_state(leader, leader_acceleration, scenario.sample_period)
+        follower = advance_state(
+            follower, control.actual_acceleration, scenario.sample_period
+        )
+        if clock is not None:
+            clock[2] += perf_counter() - t0
+
+    if tele is not None:
+        # One span per stage per run: the radar + attack resolution
+        # ("sense"), the defense pipeline / coasting tracker
+        # ("estimate"), and the rest of the step: the ACC, trace
+        # recording and kinematics ("control").
+        sense_s, estimate_s, step_s = clock
+        n_steps = len(times) - first
+        attrs = {"run": result.name, "steps": n_steps}
+        tele.emit("engine.sense", sense_s, attrs=dict(attrs))
+        tele.emit("engine.estimate", estimate_s, attrs=dict(attrs))
+        tele.emit("engine.control", step_s - sense_s - estimate_s, attrs=dict(attrs))
+        tele.incr("engine.runs")
+        tele.incr("engine.steps", n_steps)
+        if first:
+            tele.incr("engine.shared_steps", first)
+    return snapshot
+
+
 class CarFollowingSimulation:
     """One configured closed-loop run.
 
@@ -196,281 +490,27 @@ class CarFollowingSimulation:
         self.branch_snapshot: Optional[RunSnapshot] = None
         self.attack: Optional[Attack] = scenario.attack if attack_enabled else None
         self.defended = defended
-        # Adaptive challenge policy (optional): modulator and detector
-        # must share the same decision record.
-        self.challenge_policy = (
-            AdaptiveChallengePolicy(
-                scenario.schedule(), scenario.adaptive_challenge_period
-            )
-            if defended and scenario.adaptive_challenge_period is not None
-            else None
+        self._step = _FollowerStep.build(
+            scenario, self.attack, defended, scenario.sensor_seed
         )
-        self.pipeline = (
-            build_defense_pipeline(scenario, schedule=self.challenge_policy)
-            if defended
-            else None
-        )
-        # Actuation-layer defense (strategy "safety_filter"/"combined"):
-        # clamps the commanded acceleration to the certified-gap CBF
-        # bound, independent of whether detection ever fires.
-        self.safety_filter = (
-            SafetyFilter(
-                sample_period=scenario.sample_period,
-                headway=scenario.defense.filter_headway,
-                minimum_gap=scenario.defense.filter_minimum_gap,
-                gamma=scenario.defense.filter_gamma,
-                leader_accel_bound=scenario.defense.filter_leader_accel_bound,
-                min_acceleration=scenario.acc_params.min_acceleration,
-            )
-            if defended and scenario.defense.uses_safety_filter
-            else None
-        )
-        # The undefended stack is a conventional radar tracker that
-        # coasts through empty returns (challenge instants look like
-        # ordinary missed detections to it).
-        self.tracker = (
-            None
-            if defended
-            else AlphaBetaTracker(sample_period=scenario.sample_period)
-        )
+        #: The step's Algorithm 2 pipeline (None when undefended).
+        self.pipeline: Optional[SafeMeasurementPipeline] = self._step.pipeline
         if name is None:
             mode = "defended" if defended else "undefended"
             attack_tag = self.attack.label.value if self.attack else "clean"
             name = f"{scenario.name}/{attack_tag}/{mode}"
         self.name = name
 
-    # ------------------------------------------------------------------
-
-    def _controller_view(
-        self,
-        measurement: RadarMeasurement,
-        follower_speed: float,
-    ) -> Tuple[Optional[Tuple[float, float]], bool, bool]:
-        """Resolve what the ACC sees for this sample.
-
-        Returns ``(view, estimated, attack_active)``.
-        """
-        if self.pipeline is not None:
-            safe = self.pipeline.process(measurement, follower_speed=follower_speed)
-            return (
-                (safe.distance, safe.relative_velocity),
-                safe.estimated,
-                safe.attack_active,
-            )
-        # Undefended: the alpha-beta tracker smooths detections and
-        # coasts through empty returns (a challenge instant looks like
-        # an ordinary missed detection to it).
-        coasting = measurement.is_zero_output(1e-9)
-        detection = (
-            None
-            if coasting
-            else (measurement.distance, measurement.relative_velocity)
-        )
-        track = self.tracker.update(detection)
-        return track, coasting and track is not None, False
-
-    def _make_accel_filter(
-        self, view: Tuple[float, float], sensed_ego_speed: float
-    ):
-        """Bind this step's view into the safety filter's clamp.
-
-        The filter certifies whatever the controller is about to act on
-        (the defense-visible quantities, including the ego-speed bias
-        stress knob), so its guarantee does not depend on the pipeline
-        having substituted anything.
-        """
-        safety_filter = self.safety_filter
-        gap, relative_velocity = view
-
-        def accel_filter(desired: float) -> float:
-            return safety_filter.clamp(
-                desired, sensed_ego_speed, gap, relative_velocity
-            )
-
-        return accel_filter
-
-    def _snapshot(
-        self, step: int, leader, follower, result, sensor, acc
-    ) -> RunSnapshot:
-        """Capture every stateful part of the run before ``step``."""
-        return RunSnapshot(
-            step=step,
-            leader=leader,
-            follower=follower,
-            result=result.snapshot(),
-            sensor=sensor.snapshot(),
-            controller=acc.snapshot(),
-            **{
-                part: getattr(self, part).snapshot()
-                for part in _OPTIONAL_PARTS
-                if getattr(self, part) is not None
-            },
-        )
-
-    def _restore(self, snapshot: RunSnapshot, result, sensor, acc) -> None:
-        """Load ``snapshot`` into this run's freshly built parts."""
-        result.restore(snapshot.result)
-        sensor.restore(snapshot.sensor)
-        acc.restore(snapshot.controller)
-        for name in _OPTIONAL_PARTS:
-            part, state = getattr(self, name), getattr(snapshot, name)
-            if (part is None) != (state is None):
-                raise ValueError(
-                    f"snapshot does not fit run {self.name!r}: it was taken "
-                    f"with other defense toggles"
-                )
-            if part is not None:
-                part.restore(state)
-
     def run(self) -> SimulationResult:
         """Execute the run and return its traces."""
-        scenario = self.scenario
-        schedule: ChallengeSchedule = scenario.schedule()
-        sensor = FMCWRadarSensor(
-            params=scenario.radar_params,
-            fidelity=scenario.fidelity,
-            seed=scenario.sensor_seed,
-            **scenario.sensor_noise_overrides(),
-        )
-        if scenario.follower_policy == "idm":
-            acc = IDMFollowerController(
-                params=scenario.idm_params, acc_params=scenario.acc_params
-            )
-        else:
-            acc = ACCSystem(scenario.acc_params)
-        leader = VehicleState(
-            position=scenario.initial_distance,
-            velocity=scenario.leader_initial_speed,
-        )
-        follower = VehicleState(position=0.0, velocity=scenario.follower_initial_speed)
-
         result = SimulationResult.empty(
             self.name,
             attack_name=self.attack.label.value if self.attack else "none",
             defended=self.defended,
         )
-        times = scenario.times()
-        first = 0
-        if self.resume_from is not None:
-            first = self.resume_from.step
-            leader = self.resume_from.leader
-            follower = self.resume_from.follower
-            self._restore(self.resume_from, result, sensor, acc)
-        # The step the snapshot is taken before (none past the end).
-        branch = (
-            len(times) + 1
-            if self.snapshot_at is None
-            else bisect_left(times, self.snapshot_at)
+        self.branch_snapshot = _run_pair(
+            self.scenario, self._step, result, self.resume_from, self.snapshot_at
         )
-        # Per-stage timing is gated on an active telemetry session: when
-        # `tele` is None the loop pays one local None-check per stage
-        # and nothing else (bench_telemetry_overhead asserts the bound).
-        tele = _telemetry.current()
-        sense_s = estimate_s = control_s = 0.0
-        n_steps = 0
-        for step in range(first, len(times)):
-            if step == branch:
-                self.branch_snapshot = self._snapshot(
-                    step, leader, follower, result, sensor, acc
-                )
-            time = times[step]
-            if tele is not None:
-                n_steps += 1
-                t0 = perf_counter()
-            true_gap = leader.position - follower.position
-            if true_gap <= 0.0 and result.collision_time is None:
-                result.collision_time = time
-            radar_gap = max(true_gap, _POST_COLLISION_GAP_FLOOR)
-            true_relative_velocity = leader.velocity - follower.velocity
-
-            if self.challenge_policy is not None:
-                transmit = not self.challenge_policy.decide(
-                    time, self.pipeline.attack_active
-                )
-            else:
-                transmit = not schedule.is_challenge(time)
-            effect = (
-                self.attack.effect_at(time, radar_gap, true_relative_velocity)
-                if self.attack is not None
-                else None
-            )
-            measurement = sensor.measure(
-                time,
-                radar_gap,
-                true_relative_velocity,
-                transmit=transmit,
-                effect=effect,
-            )
-            # The paper assumes the ego-speed sensor is trusted; the
-            # ego_speed_bias knob stresses that assumption (the defense
-            # sees the biased value, the physics uses the true one).
-            sensed_ego_speed = (
-                scenario.ego_speed_gain * follower.velocity
-                + scenario.ego_speed_bias
-            )
-            if tele is not None:
-                t1 = perf_counter()
-                sense_s += t1 - t0
-            view, estimated, attack_active = self._controller_view(
-                measurement, sensed_ego_speed
-            )
-            if tele is not None:
-                t2 = perf_counter()
-                estimate_s += t2 - t1
-            if self.safety_filter is not None and view is not None:
-                accel_filter = self._make_accel_filter(view, sensed_ego_speed)
-            else:
-                accel_filter = None
-            step = acc.step(follower.velocity, view, accel_filter=accel_filter)
-
-            result.record(
-                time,
-                leader_position=leader.position,
-                leader_velocity=leader.velocity,
-                follower_position=follower.position,
-                follower_velocity=follower.velocity,
-                follower_acceleration=step.actual_acceleration,
-                true_distance=true_gap,
-                true_relative_velocity=true_relative_velocity,
-                measured_distance=measurement.distance,
-                measured_relative_velocity=measurement.relative_velocity,
-                safe_distance=view[0] if view is not None else 0.0,
-                safe_relative_velocity=view[1] if view is not None else 0.0,
-                desired_distance=step.upper.desired_distance,
-                desired_acceleration=step.desired_acceleration,
-                pedal_acceleration=step.actuation.pedal_acceleration,
-                brake_pressure=step.actuation.brake_pressure,
-                spacing_mode=1.0 if step.mode is ControlMode.SPACING else 0.0,
-                estimated_flag=1.0 if estimated else 0.0,
-                attack_active_flag=1.0 if attack_active else 0.0,
-            )
-
-            leader_acceleration = scenario.leader_profile.acceleration(time)
-            leader = advance_state(leader, leader_acceleration, scenario.sample_period)
-            follower = advance_state(
-                follower, step.actual_acceleration, scenario.sample_period
-            )
-            if tele is not None:
-                control_s += perf_counter() - t2
-        if branch == len(times):
-            self.branch_snapshot = self._snapshot(
-                branch, leader, follower, result, sensor, acc
-            )
-
-        if tele is not None:
-            # One span per stage per run: the radar + attack resolution
-            # ("sense"), the defense pipeline / coasting tracker
-            # ("estimate"), and the ACC + trace recording + kinematics
-            # ("control").
-            attrs = {"run": self.name, "steps": n_steps}
-            tele.emit("engine.sense", sense_s, attrs=dict(attrs))
-            tele.emit("engine.estimate", estimate_s, attrs=dict(attrs))
-            tele.emit("engine.control", control_s, attrs=dict(attrs))
-            tele.incr("engine.runs")
-            tele.incr("engine.steps", n_steps)
-            if first:
-                tele.incr("engine.shared_steps", first)
-
         if self.pipeline is not None:
             result.detection_events = self.pipeline.detection_events
             estimator = self.pipeline.estimator

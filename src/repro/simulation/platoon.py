@@ -10,9 +10,12 @@ answering two questions the paper's setting raises naturally:
   stability under attack)?
 * does defending the attacked vehicle alone contain the disturbance?
 
-Every follower runs the same ACC stack as the single-vehicle engine;
-defended followers carry the full Algorithm 2 pipeline, undefended ones
-the conventional coasting tracker.
+Every follower runs the pair engine's step
+(:class:`~repro.simulation.engine._FollowerStep`) on its own radar:
+defended followers carry the scenario's defense (the Algorithm 2
+pipeline, with secure reconstruction and the safety filter when the
+strategy has them), undefended ones the conventional coasting tracker.
+A 1-follower platoon is the pair engine's run, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,13 +28,10 @@ import numpy as np
 from repro.attacks.base import Attack
 from repro.exceptions import ConfigurationError
 from repro.radar.params import FMCWParameters
-from repro.radar.sensor import FMCWRadarSensor
-from repro.radar.tracker import AlphaBetaTracker
-from repro.simulation.engine import _POST_COLLISION_GAP_FLOOR, build_defense_pipeline
+from repro.simulation.engine import _FollowerStep
 from repro.simulation.scenario import DefenseConfig, Scenario, paper_challenge_times
 from repro.types import DetectionEvent, TimeSeries
 from repro.units import mph_to_mps
-from repro.vehicle.acc import ACCSystem
 from repro.vehicle.kinematics import advance_state
 from repro.vehicle.leader import LeaderProfile
 from repro.vehicle.params import ACCParameters
@@ -95,7 +95,7 @@ class PlatoonScenario:
             )
 
     def to_pair_scenario(self) -> Scenario:
-        """The equivalent two-vehicle scenario (for pipeline building)."""
+        """The two-vehicle scenario each follower's step is built from."""
         return Scenario(
             name="platoon-member",
             leader_profile=self.leader_profile,
@@ -173,39 +173,22 @@ class PlatoonSimulation:
     def run(self) -> PlatoonResult:
         """Execute the run and return the platoon traces."""
         scenario = self.scenario
-        schedule = scenario.to_pair_scenario().schedule()
+        pair = scenario.to_pair_scenario()
         n = scenario.n_followers
-
-        sensors = [
-            FMCWRadarSensor(
-                params=scenario.radar_params,
-                fidelity=scenario.fidelity,
-                seed=scenario.sensor_seed + i,
+        steps = [
+            _FollowerStep.build(
+                pair,
+                self.attack if i == scenario.attacked_follower else None,
+                i in scenario.defended_followers,
+                scenario.sensor_seed + i,
             )
             for i in range(n)
         ]
-        controllers = [ACCSystem(scenario.acc_params) for _ in range(n)]
-        pipelines = [
-            build_defense_pipeline(scenario.to_pair_scenario())
-            if i in scenario.defended_followers
-            else None
-            for i in range(n)
-        ]
-        trackers = [
-            AlphaBetaTracker(sample_period=scenario.sample_period)
-            if pipelines[i] is None
-            else None
-            for i in range(n)
-        ]
-
-        leader = VehicleState(
-            position=0.0, velocity=scenario.initial_speed
-        )
+        # The last follower starts at 0, as the pair engine's follower.
+        gap = scenario.initial_gap
+        leader = VehicleState(position=n * gap, velocity=scenario.initial_speed)
         followers = [
-            VehicleState(
-                position=-(i + 1) * scenario.initial_gap,
-                velocity=scenario.initial_speed,
-            )
+            VehicleState(position=(n - 1 - i) * gap, velocity=scenario.initial_speed)
             for i in range(n)
         ]
 
@@ -216,56 +199,27 @@ class PlatoonSimulation:
                 name = f"{prefix}_{i}"
                 result.traces[name] = TimeSeries(name)
 
-        steps = int(scenario.horizon / scenario.sample_period) + 1
-        for step_index in range(steps):
-            time = step_index * scenario.sample_period
-            transmit = not schedule.is_challenge(time)
+        for time in pair.times():
             result.traces["leader_velocity"].append(time, leader.velocity)
-
             accelerations = []
-            for i in range(n):
-                predecessor = leader if i == 0 else followers[i - 1]
-                vehicle = followers[i]
+            predecessor = leader
+            for i, (step, vehicle) in enumerate(zip(steps, followers)):
                 true_gap = predecessor.position - vehicle.position
                 if true_gap <= 0.0 and i not in result.collision_times:
                     result.collision_times[i] = time
-                radar_gap = max(true_gap, _POST_COLLISION_GAP_FLOOR)
-                relative_velocity = predecessor.velocity - vehicle.velocity
-
-                effect = None
-                if self.attack is not None and i == scenario.attacked_follower:
-                    effect = self.attack.effect_at(
-                        time, radar_gap, relative_velocity
-                    )
-                measurement = sensors[i].measure(
+                _, view, _, _, control = step(
                     time,
-                    radar_gap,
-                    relative_velocity,
-                    transmit=transmit,
-                    effect=effect,
+                    true_gap,
+                    predecessor.velocity - vehicle.velocity,
+                    vehicle.velocity,
                 )
-
-                if pipelines[i] is not None:
-                    safe = pipelines[i].process(
-                        measurement, follower_speed=vehicle.velocity
-                    )
-                    view = (safe.distance, safe.relative_velocity)
-                else:
-                    detection = (
-                        None
-                        if measurement.is_zero_output(1e-9)
-                        else (measurement.distance, measurement.relative_velocity)
-                    )
-                    view = trackers[i].update(detection)
-
-                control = controllers[i].step(vehicle.velocity, view)
                 accelerations.append(control.actual_acceleration)
-
                 result.traces[f"gap_{i}"].append(time, true_gap)
                 result.traces[f"velocity_{i}"].append(time, vehicle.velocity)
                 result.traces[f"view_gap_{i}"].append(
                     time, view[0] if view is not None else 0.0
                 )
+                predecessor = vehicle
 
             leader = advance_state(
                 leader,
@@ -273,11 +227,11 @@ class PlatoonSimulation:
                 scenario.sample_period,
             )
             followers = [
-                advance_state(followers[i], accelerations[i], scenario.sample_period)
-                for i in range(n)
+                advance_state(vehicle, acceleration, scenario.sample_period)
+                for vehicle, acceleration in zip(followers, accelerations)
             ]
 
-        attacked_pipeline = pipelines[scenario.attacked_follower]
+        attacked_pipeline = steps[scenario.attacked_follower].pipeline
         if attacked_pipeline is not None:
             result.detection_events = attacked_pipeline.detection_events
         return result

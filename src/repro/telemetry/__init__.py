@@ -19,7 +19,8 @@ Quick use::
 What gets recorded when a session is active:
 
 * ``engine.sense`` / ``engine.estimate`` / ``engine.control`` — the
-  step loop's per-run stage times (one span per stage per run);
+  pair loop's per-run stage times (one span per stage per car-following
+  or redundancy run; platoons record none);
 * ``batch.run`` — one span per executed :class:`~repro.simulation.batch.RunSpec`
   with worker pid, queue wait, cache-hit flag and error status, plus a
   batch-scoped aggregate on ``BatchResult.telemetry``;

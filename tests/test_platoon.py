@@ -1,11 +1,19 @@
 """Platoon simulation (repro.simulation.platoon)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import fig2_scenario
 from repro.attacks import AttackWindow, DoSJammingAttack
 from repro.exceptions import ConfigurationError
-from repro.simulation import PlatoonScenario, PlatoonSimulation
+from repro.simulation import (
+    CarFollowingSimulation,
+    DefenseConfig,
+    PlatoonScenario,
+    PlatoonSimulation,
+)
 from repro.vehicle import ConstantAccelerationProfile
 
 
@@ -120,3 +128,62 @@ class TestDefendedPlatoon:
     def test_downstream_gaps_near_clean(self, defended_run, clean_run):
         for i in (1, 2):
             assert defended_run.min_gap(i) > 0.5 * clean_run.min_gap(i)
+
+
+def one_follower(kind, strategy, detection):
+    """fig2 ``kind`` with equal initial speeds: the pair and its 1-follower platoon.
+
+    ``strategy`` None leaves the follower undefended; ``detection`` False
+    drops every CRA challenge.
+    """
+    paper = fig2_scenario(kind)
+    pair = replace(
+        paper,
+        follower_initial_speed=paper.leader_initial_speed,
+        defense=DefenseConfig(strategy=strategy or "rls"),
+        challenge_times=paper.challenge_times if detection else (),
+    )
+    platoon = PlatoonScenario(
+        leader_profile=pair.leader_profile,
+        n_followers=1,
+        horizon=pair.horizon,
+        sample_period=pair.sample_period,
+        initial_gap=pair.initial_distance,
+        initial_speed=pair.leader_initial_speed,
+        acc_params=pair.acc_params,
+        radar_params=pair.radar_params,
+        challenge_times=pair.challenge_times,
+        defense=pair.defense,
+        attack=pair.attack,
+        defended_followers=() if strategy is None else (0,),
+        fidelity=pair.fidelity,
+        sensor_seed=pair.sensor_seed,
+    )
+    return pair, platoon
+
+
+class TestOneFollowerIsThePairEngine:
+    """Every follower runs the pair engine's step, defense included."""
+
+    @pytest.mark.parametrize("detection", [True, False], ids=["cra", "no-cra"])
+    @pytest.mark.parametrize(
+        "strategy",
+        [None, "rls", "secure_reconstruction", "safety_filter", "combined"],
+    )
+    @pytest.mark.parametrize("kind", ["dos", "delay"])
+    def test_bit_identical(self, kind, strategy, detection):
+        pair, platoon = one_follower(kind, strategy, detection)
+        engine = CarFollowingSimulation(pair, defended=strategy is not None).run()
+        chain = PlatoonSimulation(platoon).run()
+        view_gap = chain.traces["view_gap_0"].as_arrays()[1]
+        assert np.array_equal(chain.gap(0), engine.array("true_distance"))
+        assert np.array_equal(chain.velocity(0), engine.array("follower_velocity"))
+        assert np.array_equal(view_gap, engine.array("safe_distance"))
+        assert chain.detection_events == engine.detection_events
+
+    def test_safety_filter_holds_without_detection(self):
+        # The DoS is never detected, so only the filter keeps the gap.
+        pair, platoon = one_follower("dos", "safety_filter", detection=False)
+        chain = PlatoonSimulation(platoon).run()
+        assert not chain.any_collision()
+        assert chain.min_gap(0) == CarFollowingSimulation(pair).run().min_gap()
