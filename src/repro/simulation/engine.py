@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import telemetry as _telemetry
 from repro.attacks.base import Attack
@@ -346,13 +346,15 @@ def _run_pair(
     result: SimulationResult,
     resume_from: Optional[RunSnapshot] = None,
     snapshot_at: Optional[float] = None,
-) -> Optional[RunSnapshot]:
+    keep_snapshot: Optional[Callable[[RunSnapshot], None]] = None,
+) -> None:
     """Drive ``step`` behind the scenario's leader, recording into ``result``.
 
-    Starts from ``resume_from`` when given, else at t = 0.  Returns the
-    :class:`RunSnapshot` taken just before the first step at or after
-    ``snapshot_at`` (after the last step if there is none), or None when
-    ``snapshot_at`` is None.
+    Starts from ``resume_from`` when given, else at t = 0.  Hands
+    ``keep_snapshot`` the :class:`RunSnapshot` taken just before the
+    first step at or after ``snapshot_at`` (after the last step if there
+    is none) as soon as it is taken, so a later step that raises does
+    not lose it.
     """
     leader = VehicleState(
         position=scenario.initial_distance,
@@ -371,7 +373,6 @@ def _run_pair(
     branch = (
         len(times) + 1 if snapshot_at is None else bisect_left(times, snapshot_at)
     )
-    snapshot = None
     # Per-stage timing is gated on an active telemetry session: when
     # `clock` is None the loop pays one local None-check per stage and
     # nothing else (bench_telemetry_overhead asserts the bound).
@@ -379,12 +380,14 @@ def _run_pair(
     clock = None if tele is None else [0.0, 0.0, 0.0]
     for k in range(first, len(times) + 1):
         if k == branch:
-            snapshot = RunSnapshot(
-                step=k,
-                leader=leader,
-                follower=follower,
-                result=result.snapshot(),
-                **step.snapshot(),
+            keep_snapshot(
+                RunSnapshot(
+                    step=k,
+                    leader=leader,
+                    follower=follower,
+                    result=result.snapshot(),
+                    **step.snapshot(),
+                )
             )
         if k == len(times):
             break
@@ -444,7 +447,6 @@ def _run_pair(
         tele.incr("engine.steps", n_steps)
         if first:
             tele.incr("engine.shared_steps", first)
-    return snapshot
 
 
 class CarFollowingSimulation:
@@ -508,8 +510,13 @@ class CarFollowingSimulation:
             attack_name=self.attack.label.value if self.attack else "none",
             defended=self.defended,
         )
-        self.branch_snapshot = _run_pair(
-            self.scenario, self._step, result, self.resume_from, self.snapshot_at
+        _run_pair(
+            self.scenario,
+            self._step,
+            result,
+            self.resume_from,
+            self.snapshot_at,
+            partial(setattr, self, "branch_snapshot"),
         )
         if self.pipeline is not None:
             result.detection_events = self.pipeline.detection_events

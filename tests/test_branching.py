@@ -237,6 +237,28 @@ def test_collision_before_the_branch_point(defended):
     assert counters["batch.branched_runs"] == 1
 
 
+def test_trunk_failing_after_the_branch_point(monkeypatch):
+    # The attacked trunk raises mid-attack; the snapshot it took at the
+    # onset is attack-free, so the baseline still resumes from it.
+    effect = DoSJammingAttack._effect
+
+    def failing(self, time, *args):
+        if time >= 200.0:
+            raise RuntimeError("jammer failed")
+        return effect(self, time, *args)
+
+    monkeypatch.setattr(DoSJammingAttack, "_effect", failing)
+    specs = _pair(_scenario("fig2a"))[::-1]
+    tele = telemetry.enable()
+    try:
+        batch = execute_batch(specs, backend="scalar")
+    finally:
+        telemetry.disable()
+    assert "jammer failed" in batch.records[0].error
+    assert _same(batch.records[1].payload, _fresh(specs[1]))
+    assert tele.summary().counters["batch.branched_runs"] == 1
+
+
 def test_unknown_attack_start_runs_whole():
     class Custom(DoSJammingAttack):
         def effect_at(self, time, true_distance, true_relative_velocity=0.0):
